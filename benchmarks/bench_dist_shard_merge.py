@@ -8,7 +8,7 @@ introduces and the win it buys:
   merged stores verified key-identical and record-equal before any number is
   reported;
 * **merge throughput** — ``merge_stores`` over synthetic shard stores
-  (compacted, so the idx-sidecar fast path is exercised), reported as
+  (compacted, so the indexed-open fast path is exercised), reported as
   records merged per second.
 
 The distributed runs execute under ``repro.obs`` telemetry, and the
@@ -165,7 +165,7 @@ def bench_merge(workdir: Path, n_records: int, n_shards: int) -> dict:
         record = synthetic_record(i)
         stores[shard_index_of(record["scenario_id"], n_shards)].append(record)
     for store in stores:
-        store.compact()  # exercise the idx-sidecar merge fast path
+        store.compact()  # exercise the indexed-open merge fast path
 
     dest = ResultStore(workdir / "merge-dest.jsonl")
     started = time.perf_counter()

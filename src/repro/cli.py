@@ -420,19 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         help="maintain JSONL result stores (compact, merge shards, stats)",
         description=(
-            "Store maintenance. 'compact' rewrites the JSONL keeping only the "
-            "newest record per scenario id and writes the key-to-offset index "
-            "sidecar (<store>.idx.json) that lets later opens skip parsing "
-            "record payloads entirely. 'merge DEST SRC [SRC ...]' unions shard "
-            "stores into DEST (creating it if needed): successful records "
-            "always supersede failures, later sources win ties, legacy v1 "
-            "records are upgraded and re-keyed, and DEST is compacted with a "
-            "fresh sidecar — ready for sweep --resume, boundary, or "
-            "aggregation. 'stats [PATH]' prints the store inventory — record "
-            "counts by status and schema version, bytes appended since the "
-            "last compact, the last run's cache-hit ratio — served entirely "
-            "from the idx/SQLite/metrics sidecars, without materialising a "
-            "single record."
+            "Store maintenance. Every store keeps one index, the SQLite "
+            "sidecar <store>.sqlite, which maps scenario ids to record "
+            "offsets so opens and queries skip parsing record payloads; it "
+            "refreshes itself when the JSONL changes (JSON index sidecars "
+            "from older versions are ignored). 'compact' rewrites the JSONL "
+            "keeping only the newest record per scenario id and re-indexes "
+            "it. 'merge DEST SRC [SRC ...]' unions shard stores into DEST "
+            "(creating it if needed): successful records always supersede "
+            "failures, later sources win ties, legacy v1 records are "
+            "upgraded and re-keyed, and DEST is compacted — ready for sweep "
+            "--resume, boundary, or aggregation. 'stats [PATH]' prints the "
+            "store inventory — record counts by status and schema version, "
+            "bytes appended since the last compact, the last run's cache-hit "
+            "ratio — served entirely from the SQLite and metrics sidecars, "
+            "without materialising a single record."
         ),
     )
     store.add_argument(
@@ -1170,11 +1172,6 @@ def _open_store(
     store_path = Path(args.store)
     if store_path.exists() and args.fresh:
         store_path.unlink()
-        # The compaction sidecar indexes the file just deleted; left behind
-        # it would resurrect phantom records on the next open.
-        index_path = Path(str(store_path) + ".idx.json")
-        if index_path.exists():
-            index_path.unlink()
         print(f"starting fresh campaign (deleted existing {store_path})")
     store = sweep_module.ResultStore(store_path, telemetry=telemetry)
     if len(store):
@@ -1495,7 +1492,7 @@ def _command_shard(args: argparse.Namespace) -> int:
     telemetry = _telemetry_for(
         args, worker=f"shard-{plan.shard_index}", campaign=plan.campaign_hash
     )
-    store = _open_store(args, telemetry=telemetry)  # honours --fresh for store + idx
+    store = _open_store(args, telemetry=telemetry)  # honours --fresh
 
     if manifest_path.exists():
         # Compare the stamped identity fields only — the snapshot behind

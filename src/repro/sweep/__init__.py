@@ -19,10 +19,10 @@ registry-backed scenario components:
 * :mod:`repro.sweep.store`    — an append-only JSONL store keyed by config
   hash, giving cache hits, resume-after-interrupt and schema-version
   tolerance;
-* :mod:`repro.sweep.sqlindex` — the read-optimised SQLite sidecar behind
-  :meth:`ResultStore.query`: scenario ids, statuses and searchable axis
-  columns mapped to JSONL byte offsets, so filtered/aggregate reads over
-  100k+-record stores never replay the file;
+* :mod:`repro.sweep.sqlindex` — the store's one index, a SQLite sidecar
+  behind store opens and :meth:`ResultStore.query`: scenario ids, statuses
+  and searchable axis columns mapped to JSONL byte offsets, so opens and
+  filtered/aggregate reads over 100k+-record stores never replay the file;
 * :mod:`repro.sweep.runner`   — serial or multiprocessing execution with
   per-scenario timeouts and progress reporting;
 * :mod:`repro.sweep.aggregate`— per-axis mean/p50/p95 tables, Table II

@@ -11,27 +11,37 @@ workload / survived).  Queries run against the index and only the *matching*
 lines are seek-loaded from the JSONL — a 100k-record store answers a
 filtered query without parsing 100k lines.
 
+It is the store's only index: :class:`~repro.sweep.store.ResultStore` opens
+from its inventory too, whenever it is current, instead of parsing the JSONL.
+
 The sidecar is purely derived state and maintains itself lazily:
 
 * :meth:`SqliteIndex.ensure` compares the indexed byte count and mtime
   against the live JSONL.  An untouched file is served as-is; a file that
   *grew* (appends) has just its tail scanned; a file that shrank or was
-  rewritten in place (compact, merge, ``--fresh``) triggers a full rebuild.
-  Before trusting a tail scan the last indexed line is re-read and verified,
-  so a rewrite that happens to grow the file cannot smuggle stale offsets
-  through.
+  rewritten behind the index's back (``--fresh``, a file copied over it)
+  triggers a full rebuild.  Before trusting a tail scan the last indexed line
+  is re-read and verified, so a rewrite that happens to grow the file cannot
+  smuggle stale offsets through.  An index written within two seconds of the
+  file's last change also keeps a digest of the indexed bytes: a rewrite in
+  the same file-timestamp tick keeps size and mtime, but not the digest.
+* A compaction hands the rows of the file it wrote to
+  :meth:`SqliteIndex.load_rows`, so it is indexed without being read again.
 * Callers that seek-load records through the index verify each line's
   scenario id and fall back to :meth:`rebuild` on any mismatch — the JSONL
   always wins.
 
-Deleting ``<store>.sqlite`` is always safe; the next query rebuilds it.
+Deleting ``<store>.sqlite`` is always safe; the next query or compact
+rebuilds it (only the compaction baseline is lost until the next compact).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
+import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -48,6 +58,8 @@ __all__ = [
     "SIDECAR_ERRORS",
     "FILTER_COLUMNS",
     "SqliteIndex",
+    "new_digest",
+    "record_row",
     "sqlite_index_path",
 ]
 
@@ -59,7 +71,12 @@ SQLITE_AVAILABLE = sqlite3 is not None
 SIDECAR_ERRORS: tuple = (sqlite3.Error, OSError) if sqlite3 is not None else (OSError,)
 
 #: Sidecar layout version (bumped on any schema change; mismatches rebuild).
-_SQLITE_INDEX_VERSION = 1
+_LAYOUT_VERSION = 2
+
+#: A file changed less than this long before it was indexed can be rewritten
+#: within the same file-timestamp tick, keeping its size and mtime ("racily
+#: clean"); such an index also keeps a content digest until the window passes.
+_RACY_NS = 2_000_000_000
 
 #: The columns a store query may filter on (axis columns + record identity).
 FILTER_COLUMNS: tuple[str, ...] = (
@@ -103,6 +120,19 @@ _SCHEMA = (
     "CREATE INDEX IF NOT EXISTS records_governor ON records(governor)",
 )
 
+_COLUMNS = (
+    "scenario_id", "byte_offset", "byte_length", "status", "schema_version", "governor",
+    "supply", "weather", "seed", "capacitance_f", "duration_s", "workload", "survived",
+)
+
+#: An upsert rather than REPLACE: a superseded record keeps its row (and
+#: rowid), so rowid order is first-occurrence order, as a linear scan loads.
+_INSERT = (
+    f"INSERT INTO records ({', '.join(_COLUMNS)}) VALUES ({', '.join('?' * len(_COLUMNS))}) "
+    "ON CONFLICT(scenario_id) DO UPDATE SET "
+    + ", ".join(f"{column} = excluded.{column}" for column in _COLUMNS[1:])
+)
+
 #: Scenario-id lists longer than this are chunked into several IN queries
 #: (SQLite's default host-parameter limit is 999).
 _IN_CHUNK = 500
@@ -113,9 +143,24 @@ def sqlite_index_path(store_path: "str | os.PathLike") -> Path:
     return Path(str(store_path) + ".sqlite")
 
 
+def new_digest():
+    """The content hash the sidecar keeps of a racily clean store."""
+    return hashlib.sha256()
+
+
+def _digest(path: Path, nbytes: int) -> str:
+    """:func:`new_digest` of a file's first ``nbytes`` bytes."""
+    digest = new_digest()
+    with path.open("rb") as fh:
+        while nbytes > 0 and (chunk := fh.read(min(nbytes, 1 << 20))):
+            digest.update(chunk)
+            nbytes -= len(chunk)
+    return digest.hexdigest()
+
+
 def _component_kind(value) -> Optional[str]:
     """The ``kind`` of a component field — composed dict or v1 flat string."""
-    if isinstance(value, Mapping):
+    if isinstance(value, dict):
         kind = value.get("kind")
         return str(kind) if kind is not None else None
     if isinstance(value, str):
@@ -123,49 +168,58 @@ def _component_kind(value) -> Optional[str]:
     return None
 
 
+def _number(kind, value):
+    """``kind(value)``, or None for a missing or unreadable value."""
+    try:
+        return None if value is None else kind(value)
+    except (TypeError, ValueError):
+        return None
+
+
 def _axis_columns(record: Mapping) -> dict:
     """Best-effort extraction of the searchable axis columns from a record.
 
     Tolerant of both schema v2 (composed components) and v1 (flat keys);
     anything unreadable is stored as NULL rather than rejected — the sidecar
-    must index *every* record the JSONL holds, however old.
+    must index *every* record the JSONL holds, however old.  Records are
+    parsed JSON, so a plain ``dict`` check (cheaper than an ABC one) suffices.
     """
     config = record.get("config")
-    if not isinstance(config, Mapping):
+    if not isinstance(config, dict):
         config = {}
     supply = config.get("supply")
-    supply = supply if isinstance(supply, Mapping) else {}
+    supply = supply if isinstance(supply, dict) else {}
     capacitor = config.get("capacitor")
-    capacitor = capacitor if isinstance(capacitor, Mapping) else {}
-    workload = config.get("workload", config.get("workload"))
+    capacitor = capacitor if isinstance(capacitor, dict) else {}
     summary = record.get("summary")
-    summary = summary if isinstance(summary, Mapping) else {}
-
-    def _float(value) -> Optional[float]:
-        try:
-            return None if value is None else float(value)
-        except (TypeError, ValueError):
-            return None
-
-    def _int(value) -> Optional[int]:
-        try:
-            return None if value is None else int(value)
-        except (TypeError, ValueError):
-            return None
+    summary = summary if isinstance(summary, dict) else {}
 
     survived = summary.get("survived")
     return {
         "governor": _component_kind(config.get("governor")),
         "supply": _component_kind(config.get("supply")) or ("pv-array" if config else None),
         "weather": supply.get("weather", config.get("weather")),
-        "seed": _int(supply.get("seed", config.get("seed"))),
-        "capacitance_f": _float(
-            capacitor.get("capacitance_f", config.get("capacitance_f"))
+        "seed": _number(int, supply.get("seed", config.get("seed"))),
+        "capacitance_f": _number(
+            float, capacitor.get("capacitance_f", config.get("capacitance_f"))
         ),
-        "duration_s": _float(config.get("duration_s")),
-        "workload": _component_kind(workload),
+        "duration_s": _number(float, config.get("duration_s")),
+        "workload": _component_kind(config.get("workload")),
         "survived": None if survived is None else int(bool(survived)),
     }
+
+
+def record_row(scenario_id: str, offset: int, length: int, record: Mapping) -> tuple:
+    """The ``records`` row of one JSONL line: where it sits, what it holds
+    (:func:`_axis_columns` yields the axis columns in table order)."""
+    return (
+        str(scenario_id),
+        offset,
+        length,
+        record.get("status"),
+        int(record.get("schema_version", 1)),
+        *_axis_columns(record).values(),
+    )
 
 
 class SqliteIndex:
@@ -196,21 +250,30 @@ class SqliteIndex:
     def _connect(self) -> "sqlite3.Connection":
         if self._conn is None:
             self.db_path.parent.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.db_path, check_same_thread=False)
             try:
-                for statement in _SCHEMA:
-                    conn.execute(statement)
-                conn.commit()
+                self._conn = self._open_with_schema()
             except sqlite3.DatabaseError:
                 # Corrupt/foreign file at the sidecar path: replace it.
-                conn.close()
                 self.db_path.unlink(missing_ok=True)
-                conn = sqlite3.connect(self.db_path, check_same_thread=False)
+                self._conn = self._open_with_schema()
+        return self._conn
+
+    def _open_with_schema(self) -> "sqlite3.Connection":
+        conn = sqlite3.connect(self.db_path, check_same_thread=False)
+        try:
+            # Only a new (or older-layout) sidecar writes the schema, in a
+            # transaction left open for the caller's first commit (a new
+            # sidecar then costs one sync, not two).  Every caller either
+            # commits (an index with no meta is rebuilt) or closes.
+            if conn.execute("PRAGMA user_version").fetchone()[0] != _LAYOUT_VERSION:
+                conn.execute("BEGIN")
                 for statement in _SCHEMA:
                     conn.execute(statement)
-                conn.commit()
-            self._conn = conn
-        return self._conn
+                conn.execute(f"PRAGMA user_version = {_LAYOUT_VERSION}")
+        except sqlite3.DatabaseError:
+            conn.close()
+            raise
+        return conn
 
     def close(self) -> None:
         with self._lock:
@@ -221,26 +284,42 @@ class SqliteIndex:
     def _meta(self, conn) -> dict:
         return {key: value for key, value in conn.execute("SELECT key, value FROM meta")}
 
-    def _write_meta(self, conn, data_bytes: int, mtime_ns: int) -> None:
+    def _write_meta(
+        self, conn, data_bytes: int, mtime_ns: int, digest: Optional[str] = None
+    ) -> None:
+        """Record what was indexed; ``digest`` (of those bytes) if the caller
+        already has it, else it is computed only while the file is racy."""
+        if time.time_ns() - mtime_ns >= _RACY_NS:
+            digest = ""
+        elif digest is None:
+            digest = _digest(self.store_path, data_bytes)
         conn.executemany(
             "INSERT OR REPLACE INTO meta (key, value) VALUES (?, ?)",
             [
-                ("version", str(_SQLITE_INDEX_VERSION)),
+                ("version", str(_LAYOUT_VERSION)),
                 ("data_bytes", str(int(data_bytes))),
                 ("mtime_ns", str(int(mtime_ns))),
+                ("digest", digest),
             ],
         )
+
+    @staticmethod
+    def _clear(conn) -> None:
+        """Forget every row and the compaction baseline (the file was rewritten)."""
+        conn.execute("DELETE FROM records")
+        conn.execute("DELETE FROM meta WHERE key = 'compacted_bytes'")
 
     # ------------------------------------------------------------------
     # Freshness
     # ------------------------------------------------------------------
-    def ensure(self) -> str:
+    def ensure(self, rebuild: bool = True) -> str:
         """Bring the sidecar up to date with the JSONL; returns the action.
 
         One of ``"fresh"`` (already current), ``"tail"`` (appended records
         scanned incrementally), ``"rebuild"`` (file shrank / was rewritten /
         sidecar was missing or from another layout version) or ``"empty"``
-        (no store file).
+        (no store file).  With ``rebuild=False`` a sidecar that needs a
+        rebuild is left as it is and ``"stale"`` returned.
         """
         injector = faults.active()
         if injector is not None:
@@ -253,8 +332,7 @@ class SqliteIndex:
         with self._lock:
             conn = self._connect()
             if not self.store_path.exists():
-                if conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]:
-                    conn.execute("DELETE FROM records")
+                self._clear(conn)
                 self._write_meta(conn, 0, 0)
                 conn.commit()
                 return "empty"
@@ -267,17 +345,25 @@ class SqliteIndex:
                 indexed_mtime = int(meta.get("mtime_ns", -1))
             except ValueError:
                 version, indexed, indexed_mtime = -1, -1, -1
-            if version != _SQLITE_INDEX_VERSION or indexed < 0 or indexed > size:
-                return self._rebuild_locked(conn)
-            if indexed == size:
-                if indexed_mtime == mtime_ns:
-                    return "fresh"
+            if (
+                version != _LAYOUT_VERSION
+                or not 0 <= indexed <= size
                 # Same length, different mtime: rewritten in place.
-                return self._rebuild_locked(conn)
-            # The file grew.  Only an append-only history keeps the already-
-            # indexed offsets valid; verify the last indexed line survived.
-            if not self._tail_anchor_valid(conn, indexed):
-                return self._rebuild_locked(conn)
+                or (indexed == size and indexed_mtime != mtime_ns)
+                # The file grew.  Only an append-only history keeps the
+                # already-indexed offsets valid; the last indexed line must
+                # have survived.
+                or (indexed < size and not self._tail_anchor_valid(conn, indexed))
+                # Racily clean: the indexed bytes must still be what they were.
+                or (meta.get("digest") and _digest(self.store_path, indexed) != meta["digest"])
+            ):
+                return self._rebuild_locked(conn) if rebuild else "stale"
+            if indexed == size:
+                if meta.get("digest") and time.time_ns() - mtime_ns >= _RACY_NS:
+                    # Out of the racy window: the stat identity suffices now.
+                    self._write_meta(conn, size, mtime_ns)
+                    conn.commit()
+                return "fresh"
             timer = self.telemetry.metrics.timer("store.sqlite_tail_s")
             with timer:
                 self._scan(conn, start=indexed)
@@ -312,7 +398,7 @@ class SqliteIndex:
     def _rebuild_locked(self, conn) -> str:
         timer = self.telemetry.metrics.timer("store.sqlite_build_s")
         with timer:
-            conn.execute("DELETE FROM records")
+            self._clear(conn)
             self._scan(conn, start=0)
         self.telemetry.metrics.counter("store.sqlite_build")
         return "rebuild"
@@ -344,34 +430,32 @@ class SqliteIndex:
                 scenario_id = record.get("scenario_id")
                 if not scenario_id:
                     continue
-                axes = _axis_columns(record)
-                rows.append(
-                    (
-                        str(scenario_id),
-                        offset,
-                        len(line),
-                        record.get("status"),
-                        int(record.get("schema_version", 1)),
-                        axes["governor"],
-                        axes["supply"],
-                        axes["weather"],
-                        axes["seed"],
-                        axes["capacitance_f"],
-                        axes["duration_s"],
-                        axes["workload"],
-                        axes["survived"],
-                    )
-                )
+                rows.append(record_row(scenario_id, offset, len(line), record))
         if rows:
-            conn.executemany(
-                "INSERT OR REPLACE INTO records (scenario_id, byte_offset, byte_length, "
-                "status, schema_version, governor, supply, weather, seed, capacitance_f, "
-                "duration_s, workload, survived) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
+            conn.executemany(_INSERT, rows)
         mtime_ns = self.store_path.stat().st_mtime_ns if self.store_path.exists() else 0
         self._write_meta(conn, data_bytes, mtime_ns)
         conn.commit()
+
+    def load_rows(self, rows: Sequence[tuple], data_bytes: int, digest: str) -> None:
+        """Index a freshly compacted store from the rows its writer built.
+
+        ``rows`` are :func:`record_row` tuples for every line of the file
+        the caller has just written and renamed into place, and ``digest``
+        its :func:`new_digest`, so the file is not read again.
+        ``data_bytes`` (its length) also becomes the compaction baseline
+        :meth:`since_compact` reports.
+        """
+        with self._lock:
+            conn = self._connect()
+            self._clear(conn)
+            conn.executemany(_INSERT, rows)
+            conn.execute(
+                "INSERT OR REPLACE INTO meta (key, value) VALUES ('compacted_bytes', ?)",
+                (str(int(data_bytes)),),
+            )
+            self._write_meta(conn, data_bytes, self.store_path.stat().st_mtime_ns, digest)
+            conn.commit()
 
     # ------------------------------------------------------------------
     # Queries (index-only: callers seek-load matching lines themselves)
@@ -411,54 +495,34 @@ class SqliteIndex:
         *empty* sequence matches nothing, ``None`` means unrestricted.
         """
         with self._lock:
-            self.ensure()
-            conn = self._connect()
-            where, params = self._where(filters or {})
-            if scenario_ids is None:
-                sql = (
-                    "SELECT scenario_id, byte_offset, byte_length FROM records "
-                    f"WHERE {where} ORDER BY byte_offset"
-                )
-                rows = [tuple(r) for r in conn.execute(sql, params)]
-            else:
-                ids = [str(s) for s in scenario_ids]
-                rows = []
-                for chunk_start in range(0, len(ids), _IN_CHUNK):
-                    chunk = ids[chunk_start : chunk_start + _IN_CHUNK]
-                    sql = (
-                        "SELECT scenario_id, byte_offset, byte_length FROM records "
-                        f"WHERE {where} AND scenario_id IN "
-                        f"({', '.join('?' * len(chunk))})"
-                    )
-                    rows.extend(tuple(r) for r in conn.execute(sql, params + chunk))
-                rows.sort(key=lambda r: r[1])
-            if offset:
-                rows = rows[int(offset) :]
-            if limit is not None:
-                rows = rows[: int(limit)]
-            return rows
+            results = self._select("scenario_id, byte_offset, byte_length", filters, scenario_ids)
+            rows = sorted((tuple(r) for result in results for r in result), key=lambda r: r[1])
+            return rows[int(offset) : None if limit is None else int(offset) + int(limit)]
 
     def count(
         self, filters: Optional[Mapping] = None, scenario_ids: Optional[Sequence[str]] = None
     ) -> int:
         """Matching-record count, answered from the index alone."""
         with self._lock:
-            self.ensure()
-            conn = self._connect()
-            where, params = self._where(filters or {})
-            if scenario_ids is None:
-                sql = f"SELECT COUNT(*) FROM records WHERE {where}"
-                return int(conn.execute(sql, params).fetchone()[0])
-            total = 0
-            ids = [str(s) for s in scenario_ids]
-            for chunk_start in range(0, len(ids), _IN_CHUNK):
-                chunk = ids[chunk_start : chunk_start + _IN_CHUNK]
-                sql = (
-                    f"SELECT COUNT(*) FROM records WHERE {where} AND scenario_id IN "
-                    f"({', '.join('?' * len(chunk))})"
-                )
-                total += int(conn.execute(sql, params + chunk).fetchone()[0])
-            return total
+            results = self._select("COUNT(*)", filters, scenario_ids)
+            return sum(int(result.fetchone()[0]) for result in results)
+
+    def _select(self, what: str, filters: Optional[Mapping], scenario_ids) -> list:
+        """``SELECT what`` over the matching records of a fresh index: one
+        cursor, or one per id chunk when ``scenario_ids`` restricts them."""
+        self.ensure()
+        conn = self._connect()
+        where, params = self._where(filters or {})
+        sql = f"SELECT {what} FROM records WHERE {where}"
+        if scenario_ids is None:
+            return [conn.execute(sql, params)]
+        ids = [str(s) for s in scenario_ids]
+        return [
+            conn.execute(
+                f"{sql} AND scenario_id IN ({', '.join('?' * len(chunk))})", params + chunk
+            )
+            for chunk in (ids[i : i + _IN_CHUNK] for i in range(0, len(ids), _IN_CHUNK))
+        ]
 
     def _grouped_counts(self, column: str) -> dict:
         with self._lock:
@@ -479,14 +543,28 @@ class SqliteIndex:
         """Record count per config schema version."""
         return self._grouped_counts("schema_version")
 
-    def records_beyond(self, data_bytes: int) -> int:
-        """How many indexed records start at/after a byte offset (tail size)."""
+    def inventory(self) -> Optional[list[tuple[str, int, str, int]]]:
+        """Every ``(scenario_id, byte_offset, status, schema_version)`` row in
+        first-occurrence order — what :class:`~repro.sweep.store.ResultStore`
+        opens from.  None when there is no sidecar yet or it would need a
+        full rebuild: parsing the store is then cheaper than indexing it and
+        reading the index back."""
+        with self._lock:
+            if not self.db_path.exists() or self.ensure(rebuild=False) == "stale":
+                return None
+            return self._connect().execute(
+                "SELECT scenario_id, byte_offset, status, schema_version FROM records "
+                "ORDER BY rowid"
+            ).fetchall()
+
+    def since_compact(self) -> Optional[tuple[int, int]]:
+        """``(compacted_bytes, records appended since)`` for the store as the
+        last compact left it; None when the sidecar was (re)built since."""
         with self._lock:
             self.ensure()
-            return int(
-                self._connect()
-                .execute(
-                    "SELECT COUNT(*) FROM records WHERE byte_offset >= ?", (int(data_bytes),)
-                )
-                .fetchone()[0]
-            )
+            conn = self._connect()
+            value = self._meta(conn).get("compacted_bytes")
+            if value is None:
+                return None
+            sql = "SELECT COUNT(*) FROM records WHERE byte_offset >= ?"
+            return int(value), int(conn.execute(sql, (int(value),)).fetchone()[0])

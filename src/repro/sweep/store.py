@@ -19,36 +19,39 @@ kept, reported via :attr:`ResultStore.legacy_count` /
 :meth:`ResultStore.version_counts`, and simply miss the cache for new-schema
 configs instead of failing opaquely.
 
+The index: one SQLite sidecar (``<store>.sqlite``, :mod:`repro.sweep.sqlindex`)
+maps every scenario id to its record's byte offset, status, schema version and
+searchable axis columns.  A store with a current sidecar opens from its
+inventory — record payloads are seek-loaded lazily on first access, so
+cache-hit checks over a 100k-cell store never parse a line.  The sidecar
+keeps itself fresh by size, mtime, digest and last-record checks: appended
+records are tail-scanned, a store rewritten or truncated behind its back is
+re-indexed in full.  A store with no sidecar yet, or one that would need that
+full re-index, is parsed line by line instead (cheaper than indexing it
+first), as it is without sqlite3 or when the sidecar cannot be opened; the
+first query then builds the sidecar.  The JSON index sidecars older versions
+wrote beside the store are ignored.
+
 Large stores: :meth:`ResultStore.compact` rewrites the JSONL keeping only the
-newest record per scenario id and persists a key→offset **index sidecar**
-(``<store>.idx.json``).  A store with a valid sidecar opens in O(index) —
-record payloads are seek-loaded lazily on first access, so cache-hit checks
-over a 100k-cell store never parse a line.  Appending after a compaction
-leaves the sidecar in place; the next open replays only the appended tail on
-top of the indexed portion.  A sidecar that no longer matches its store (the
-store was rewritten or truncated) is ignored and the store is fully parsed.
+newest record per scenario id and hands the rows of the file it wrote to the
+sidecar, so the compacted store is indexed without being read again.
 
 Sharded campaigns: :meth:`ResultStore.merge` / :func:`merge_stores` union the
 shard stores a partitioned campaign produced (see :mod:`repro.sweep.dist`)
-into one.  The idx sidecars make the union cheap — conflicts are adjudicated
-from the O(index) key/status inventory and only winning records are read —
-with **last-complete-record-wins** semantics: a successful record always
-supersedes a failure/timeout, and among equals the later source wins.  Legacy
-v1 records are upgraded (config re-composed, record re-keyed under the
-current content hash) on the way through, and the merged store is compacted
-so its own sidecar is rewritten.
+into one.  Conflicts are adjudicated from each source's key/status inventory
+and only winning records are read, with **last-complete-record-wins**
+semantics: a successful record always supersedes a failure/timeout, and
+among equals the later source wins.  Legacy v1 records are upgraded (config
+re-composed, record re-keyed under the current content hash) on the way
+through, and the merged store is compacted.
 
 Filtered reads: :meth:`ResultStore.query` answers "the ok records of these
 scenario ids", "every timeout under the powersave governor" and similar
-questions through a second, read-optimised sidecar — the SQLite index of
-:mod:`repro.sweep.sqlindex` (``<store>.sqlite``), which maps scenario ids and
-searchable axis columns to byte offsets so only the *matching* JSONL lines
-are seek-loaded.  The sidecar is derived state, (re)built lazily on first
-query and kept consistent with ``append``/``compact``/``merge`` through
-mtime/length staleness checks; a query served through it counts a
-``store.idx_hit`` metric, a fallback linear scan counts ``store.idx_miss``.
+questions through the same sidecar, so only the *matching* JSONL lines are
+seek-loaded.  An open or query served through it counts a ``store.idx_hit``
+metric, a fallback linear scan counts ``store.idx_miss``.
 :func:`store_stats` serves store-level inventories (counts by status and
-schema version, bytes appended since the last compact) from the sidecars
+schema version, bytes appended since the last compact) from the sidecar
 alone, without materialising a single record.
 """
 
@@ -75,9 +78,6 @@ __all__ = [
     "VOLATILE_RECORD_FIELDS",
     "strip_volatile",
 ]
-
-#: Index sidecar layout version.
-_INDEX_VERSION = 1
 
 #: Record fields that legitimately differ between two executions of the same
 #: scenario (timing, worker identity, retry/chaos accounting): strip them
@@ -165,16 +165,10 @@ class ResultStore:
                 records=len(self._entries),
                 via_index=via_index,
             )
-        elif self.index_path.exists():
-            # The data file is gone (e.g. a fresh restart deleted it); the
-            # sidecar indexes nothing and would poison a future reopen once
-            # new records grow the file past its recorded size.
-            self.index_path.unlink()
-
-    @property
-    def index_path(self) -> Path:
-        """The sidecar written by :meth:`compact` (``<store>.idx.json``)."""
-        return Path(str(self.path) + ".idx.json")
+        elif self.sqlite_path.exists():
+            # The data file is gone (e.g. ``--fresh`` deleted it): empty the
+            # sidecar now, before new records reuse the old offsets.
+            self._with_sidecar(lambda index: index.ensure())
 
     @property
     def quarantine_path(self) -> Path:
@@ -258,9 +252,9 @@ class ResultStore:
     def sqlite_index(self) -> "Optional[sqlindex.SqliteIndex]":
         """The lazily-created SQLite sidecar, or None without sqlite3.
 
-        Creating the object is cheap; the database itself is only built (or
-        refreshed) when a :meth:`query`/:meth:`count`/:meth:`stats` call
-        first touches it.
+        Creating the object is cheap; the database itself is only built by
+        :meth:`compact`, :meth:`query`, :meth:`count` or :meth:`stats`, and
+        refreshed by those and by an open.
         """
         if not sqlindex.SQLITE_AVAILABLE:
             return None
@@ -268,15 +262,34 @@ class ResultStore:
             self._sqlite = sqlindex.SqliteIndex(self.path, telemetry=self.telemetry)
         return self._sqlite
 
+    def _with_sidecar(self, action, keep_open: bool = False):
+        """``action(index)`` on the sidecar; None without sqlite3 or on a
+        sidecar error.  The connection is closed afterwards unless
+        ``keep_open`` (queries), so opens and compactions leave no sqlite
+        handle to cross a worker fork."""
+        index = self.sqlite_index()
+        if index is None:
+            return None
+        try:
+            return action(index)
+        except sqlindex.SIDECAR_ERRORS:
+            return None
+        finally:
+            if not keep_open:
+                index.close()
+
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
     def _load(self) -> bool:
-        """Load the store; True when the idx sidecar served the open."""
-        if self._load_from_index():
-            return True
-        self._scan_lines()
-        return False
+        """Load the store; True when a current SQLite sidecar served the open."""
+        rows = self._with_sidecar(lambda index: index.inventory())
+        if rows is None:
+            self._scan_lines()
+            return False
+        for scenario_id, offset, status, version in rows:
+            self._set_entry(scenario_id, _LazyRecord(offset, status, version))
+        return True
 
     def _scan_lines(self) -> None:
         """Parse every line of the data file, tolerating a torn tail.
@@ -292,23 +305,18 @@ class ResultStore:
         """
         with self.path.open("rb") as fh:
             for raw in fh:
-                self._ingest_line(raw.decode("utf-8", errors="replace"))
-
-    def _ingest_line(self, line: str) -> None:
-        line = line.strip()
-        if not line:
-            return
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            # Interrupted mid-write: drop the partial line.
-            self._skipped_lines += 1
-            return
-        scenario_id = record.get("scenario_id") if isinstance(record, dict) else None
-        if not scenario_id:
-            self._skipped_lines += 1
-            return
-        self._set_entry(scenario_id, record)
+                line = raw.decode("utf-8", errors="replace").strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError:
+                    record = None  # interrupted mid-write: drop the partial line
+                scenario_id = record.get("scenario_id") if isinstance(record, dict) else None
+                if scenario_id:
+                    self._set_entry(scenario_id, record)
+                else:
+                    self._skipped_lines += 1
 
     def _set_entry(self, scenario_id: str, entry: Union[dict, _LazyRecord]) -> None:
         previous = self._entries.get(scenario_id)
@@ -317,46 +325,12 @@ class ResultStore:
         self._entries[scenario_id] = entry
         self._version_counts[self._version_of(entry)] += 1
 
-    def _load_from_index(self) -> bool:
-        """Open via the compaction sidecar, if present and still valid."""
-        try:
-            index = json.loads(self.index_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return False
-        entries = index.get("entries")
-        data_bytes = index.get("data_bytes")
-        if (
-            index.get("version") != _INDEX_VERSION
-            or not isinstance(entries, dict)
-            or not isinstance(data_bytes, int)
-        ):
-            return False
-        size = self.path.stat().st_size
-        if size < data_bytes:
-            # The store shrank since the index was written: the offsets no
-            # longer point at line starts.  Fall back to a full parse.
-            return False
-        for scenario_id, entry in entries.items():
-            try:
-                offset, status, version = entry
-                self._set_entry(scenario_id, _LazyRecord(offset, status, version))
-            except (TypeError, ValueError):
-                return self._full_reload()
-        if size > data_bytes:
-            # Records appended after the compaction: replay just the tail.
-            with self.path.open("rb") as fh:
-                fh.seek(data_bytes)
-                for raw in fh:
-                    self._ingest_line(raw.decode("utf-8", errors="replace"))
-        return True
-
-    def _full_reload(self) -> bool:
+    def _full_reload(self) -> None:
         """Discard any index-derived state and parse the whole file."""
         self._entries.clear()
         self._version_counts.clear()
         self._skipped_lines = 0
         self._scan_lines()
-        return True
 
     @staticmethod
     def _read_at(fh, scenario_id: str, offset: int) -> Optional[dict]:
@@ -370,32 +344,16 @@ class ResultStore:
             return None
         return record
 
-    def _materialise(self, scenario_id: str) -> Optional[dict]:
-        """Turn a lazy index entry into the record dict, reading one line."""
-        entry = self._entries.get(scenario_id)
-        if not isinstance(entry, _LazyRecord):
-            return entry
-        record = None
-        try:
-            with self.path.open("rb") as fh:
-                record = self._read_at(fh, scenario_id, entry.offset)
-        except OSError:
-            record = None
-        if record is None:
-            # Stale or corrupt index: recover by parsing the whole store.
-            self._full_reload()
-            entry = self._entries.get(scenario_id)
-            return entry if isinstance(entry, dict) else None
-        # Replace in place: the version count is unchanged by materialisation.
-        self._entries[scenario_id] = record
-        return record
-
-    def _materialise_all(self) -> None:
-        """Load every lazy entry in one sequential pass over the file."""
+    def _materialise_all(self, keys: Optional[Sequence[str]] = None) -> None:
+        """Load every lazy entry (or just those of ``keys``) in one sequential
+        pass over the file; a line that does not match its index entry (a
+        stale or corrupt index) re-parses the whole store instead.  Entries
+        are replaced in place: materialising leaves the version counts as
+        they are."""
         lazy = sorted(
             (entry.offset, key)
-            for key, entry in self._entries.items()
-            if isinstance(entry, _LazyRecord)
+            for key in (self._entries if keys is None else keys)
+            if isinstance(entry := self._entries.get(key), _LazyRecord)
         )
         if not lazy:
             return
@@ -414,6 +372,10 @@ class ResultStore:
             self._full_reload()
 
     @staticmethod
+    def _status_of(entry: Union[Mapping, _LazyRecord]) -> Optional[str]:
+        return entry.status if isinstance(entry, _LazyRecord) else entry.get("status")
+
+    @staticmethod
     def _version_of(entry: Union[Mapping, _LazyRecord]) -> int:
         """The config schema version a record was written under (v1 if unstamped)."""
         if isinstance(entry, _LazyRecord):
@@ -422,7 +384,11 @@ class ResultStore:
 
     @property
     def skipped_lines(self) -> int:
-        """Corrupt/partial lines ignored while loading (0 for a clean store)."""
+        """Corrupt/partial lines the linear scan dropped while loading.
+
+        Only the line-by-line fallback counts them; an open served by the
+        SQLite sidecar (which skips such lines when indexing) reports 0.
+        """
         return self._skipped_lines
 
     @property
@@ -481,14 +447,14 @@ class ResultStore:
 
     def compact(self) -> dict:
         """Rewrite the store keeping only the newest record per scenario id,
-        and persist the key→offset index sidecar.
+        and index the rewritten file in the SQLite sidecar.
 
         The rewrite is atomic (written beside the store, then renamed over
-        it); the sidecar is written after the data file, so a crash between
-        the two leaves a valid store with, at worst, a stale sidecar — which
-        the next open detects and ignores.  Returns a stats dict
-        (``records``, ``dropped_lines``, ``bytes_before``, ``bytes_after``,
-        ``index_path``).
+        it); the sidecar is loaded after the rename from the rows built
+        while writing, so a crash between the two leaves a valid store with,
+        at worst, a stale sidecar — which the next open detects and
+        bypasses.  Returns a stats dict (``records``, ``dropped_lines``,
+        ``bytes_before``, ``bytes_after``, ``index_path``).
         """
         compact_t0 = time.perf_counter()
         lines_before = 0
@@ -500,40 +466,30 @@ class ResultStore:
         self._materialise_all()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_name(self.path.name + ".compact.tmp")
-        index_entries: dict[str, list] = {}
+        rows: list[tuple] = []
         offset = 0
+        digest = sqlindex.new_digest()
         with tmp.open("wb") as fh:
             for scenario_id, record in self._entries.items():
                 assert isinstance(record, dict)
                 payload = (
                     json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
                 ).encode("utf-8")
-                index_entries[scenario_id] = [
-                    offset,
-                    record.get("status", "?"),
-                    self._version_of(record),
-                ]
+                rows.append(sqlindex.record_row(scenario_id, offset, len(payload), record))
+                digest.update(payload)
                 fh.write(payload)
                 offset += len(payload)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self.path)
-        index = {
-            "version": _INDEX_VERSION,
-            "data_bytes": offset,
-            "records": len(index_entries),
-            "entries": index_entries,
-        }
-        index_tmp = self.index_path.with_name(self.index_path.name + ".tmp")
-        index_tmp.write_text(json.dumps(index, separators=(",", ":")), encoding="utf-8")
-        os.replace(index_tmp, self.index_path)
+        self._with_sidecar(lambda index: index.load_rows(rows, offset, digest.hexdigest()))
         self._skipped_lines = 0
         stats = {
-            "records": len(index_entries),
-            "dropped_lines": max(0, lines_before - len(index_entries)),
+            "records": len(rows),
+            "dropped_lines": max(0, lines_before - len(rows)),
             "bytes_before": bytes_before,
             "bytes_after": offset,
-            "index_path": str(self.index_path),
+            "index_path": str(self.sqlite_path),
         }
         compact_s = time.perf_counter() - compact_t0
         self.telemetry.metrics.observe("store.compact_s", compact_s)
@@ -561,12 +517,7 @@ class ResultStore:
         """
         if existing is None:
             return True
-        if incoming_status == "ok":
-            return True
-        existing_status = (
-            existing.status if isinstance(existing, _LazyRecord) else existing.get("status")
-        )
-        return existing_status != "ok"
+        return incoming_status == "ok" or ResultStore._status_of(existing) != "ok"
 
     def merge(self, *sources, compact: bool = True) -> dict:
         """Union other stores' records into this one, newest-complete wins.
@@ -578,7 +529,7 @@ class ResultStore:
         is skipped without ever being read from disk.  Legacy (v1) source
         records are upgraded and re-keyed on the way through (see
         :func:`_upgrade_record`).  By default the merged store is compacted
-        afterwards, rewriting the data file and its idx sidecar; pass
+        afterwards, rewriting the data file and its SQLite sidecar; pass
         ``compact=False`` to keep accumulating in memory across several
         merge calls (the caller must then compact explicitly to persist).
 
@@ -594,19 +545,19 @@ class ResultStore:
             if src.path.resolve() == own:
                 raise ValueError(f"cannot merge store {self.path} into itself")
             stats["sources"] += 1
-            for key in list(src._entries):
+            candidates = []
+            for key, entry in src._entries.items():
                 stats["scanned"] += 1
-                entry = src._entries.get(key)
-                status = (
-                    entry.status if isinstance(entry, _LazyRecord) else entry.get("status")
-                )
                 if self._version_of(entry) >= SCHEMA_VERSION and not self._merge_wins(
-                    status, self._entries.get(key)
+                    self._status_of(entry), self._entries.get(key)
                 ):
                     stats["skipped"] += 1
-                    continue
-                record = src.get(key)  # materialises lazy entries (one seek)
-                if record is None:
+                else:
+                    candidates.append(key)
+            src._materialise_all(candidates)  # the candidates only, one pass
+            for key in candidates:
+                record = src._entries.get(key)
+                if not isinstance(record, dict):
                     stats["skipped"] += 1
                     continue
                 new_key, record, upgraded = _upgrade_record(record)
@@ -645,21 +596,18 @@ class ResultStore:
     def get(self, key) -> Optional[dict]:
         """The latest record for a scenario id / config, or None."""
         scenario_id = self._key(key)
+        self._materialise_all([scenario_id])
         entry = self._entries.get(scenario_id)
-        if isinstance(entry, _LazyRecord):
-            return self._materialise(scenario_id)
-        return entry
+        return entry if isinstance(entry, dict) else None
 
     def is_complete(self, key) -> bool:
         """Whether the scenario already has a successful (cached) record.
 
-        O(1) even for index-backed entries — the sidecar carries each
-        record's status, so no line is read to answer a cache-hit check.
+        O(1) even for index-backed entries — the sidecar inventory carries
+        each record's status, so no line is read to answer a cache-hit check.
         """
         entry = self._entries.get(self._key(key))
-        if isinstance(entry, _LazyRecord):
-            return entry.status == "ok"
-        return entry is not None and entry.get("status") == "ok"
+        return entry is not None and self._status_of(entry) == "ok"
 
     def records(self) -> Iterator[dict]:
         """All loaded records (latest per scenario id), insertion-ordered."""
@@ -710,17 +658,14 @@ class ResultStore:
         if status is not None:
             filters["status"] = status
         self._validate_filters(filters)
-        index = self.sqlite_index()
-        if index is not None:
-            try:
-                records = self._query_via_sqlite(index, filters, scenario_ids, limit, offset)
-            except sqlindex.SIDECAR_ERRORS:
-                records = None
-            if records is not None:
-                self.telemetry.metrics.counter("store.idx_hit")
-                return records
-        self.telemetry.metrics.counter("store.idx_miss")
-        return self._query_linear(filters, scenario_ids, limit, offset)
+        records = self._with_sidecar(
+            lambda index: self._query_via_sqlite(index, filters, scenario_ids, limit, offset),
+            keep_open=True,
+        )
+        self.telemetry.metrics.counter("store.idx_miss" if records is None else "store.idx_hit")
+        if records is None:
+            records = self._query_linear(filters, scenario_ids, limit, offset)
+        return records
 
     def _query_via_sqlite(
         self, index, filters, scenario_ids, limit, offset
@@ -762,11 +707,7 @@ class ResultStore:
             if filters and not self._matches(record, filters):
                 continue
             out.append(record)
-        if offset:
-            out = out[int(offset):]
-        if limit is not None:
-            out = out[: int(limit)]
-        return out
+        return out[int(offset) : None if limit is None else int(offset) + int(limit)]
 
     @staticmethod
     def _matches(record: Mapping, filters: Mapping) -> bool:
@@ -793,17 +734,11 @@ class ResultStore:
         if status is not None:
             filters["status"] = status
         self._validate_filters(filters)
-        index = self.sqlite_index()
-        if index is not None:
-            try:
-                n = index.count(filters or None, scenario_ids=scenario_ids)
-            except sqlindex.SIDECAR_ERRORS:
-                n = None
-            if n is not None:
-                self.telemetry.metrics.counter("store.idx_hit")
-                return n
-        self.telemetry.metrics.counter("store.idx_miss")
-        return len(self._query_linear(filters, scenario_ids, None, 0))
+        n = self._with_sidecar(
+            lambda index: index.count(filters or None, scenario_ids=scenario_ids), keep_open=True
+        )
+        self.telemetry.metrics.counter("store.idx_miss" if n is None else "store.idx_hit")
+        return n if n is not None else len(self._query_linear(filters, scenario_ids, None, 0))
 
     def stats(self) -> dict:
         """Store inventory (see :func:`store_stats`)."""
@@ -838,19 +773,13 @@ def merge_stores(
     merge stats with ``dest`` added.
     """
     store = dest if isinstance(dest, ResultStore) else ResultStore(dest)
-    resolved: list[ResultStore] = []
-    missing: list[str] = []
-    for source in sources:
-        if isinstance(source, ResultStore):
-            resolved.append(source)
-        elif Path(source).exists():
-            resolved.append(source)
-        else:
-            missing.append(str(source))
+    missing = [
+        str(s) for s in sources if not isinstance(s, ResultStore) and not Path(s).exists()
+    ]
     if missing:
         raise FileNotFoundError(f"missing source store(s): {', '.join(missing)}")
     stats: dict = {"sources": 0, "scanned": 0, "merged": 0, "skipped": 0, "upgraded": 0}
-    for source in resolved:
+    for source in sources:
         partial = store.merge(source, compact=False)
         for key in ("sources", "scanned", "merged", "skipped", "upgraded"):
             stats[key] += partial[key]
@@ -869,12 +798,14 @@ def store_stats(
     """A store's inventory, served from its sidecars without record reads.
 
     Behind ``python -m repro store stats``: counts by status and schema
-    version come from the SQLite sidecar (built/refreshed on demand), the
-    compaction baseline from the idx sidecar, and the cache-hit ratio from
-    the ``<store>.metrics.json`` sidecar the last campaign run wrote —
-    no JSONL record is materialised on this path.  Only when sqlite3 is
-    unavailable does it fall back to opening the store (idx-sidecar-lazy,
-    so a compacted store still answers from index metadata).
+    version, and the compaction baseline (the length the last
+    :meth:`ResultStore.compact` left, and what was appended since), come from
+    the SQLite sidecar (built/refreshed on demand); the cache-hit ratio from
+    the ``<store>.metrics.json`` sidecar the last campaign run wrote — no
+    JSONL record is materialised on this path.  When sqlite3 is unavailable
+    or the sidecar cannot be opened, it falls back to parsing the store and
+    reports no compaction baseline.  The JSON index sidecars older versions
+    wrote are ignored.
     """
     path = Path(store_path)
     telemetry = telemetry if telemetry is not None else DISABLED
@@ -886,44 +817,30 @@ def store_stats(
     }
     by_status: Optional[dict] = None
     by_version: Optional[dict] = None
-    idx: "Optional[sqlindex.SqliteIndex]" = None
+    baseline: Optional[tuple[int, int]] = None
     if sqlindex.SQLITE_AVAILABLE:
         try:
             idx = index if index is not None else sqlindex.SqliteIndex(path, telemetry=telemetry)
-            idx.ensure()
             by_status = idx.status_counts()
             by_version = idx.version_counts()
+            baseline = idx.since_compact()
         except sqlindex.SIDECAR_ERRORS:
-            idx = None
+            by_status, baseline = None, None
     if by_status is None:
         # No sqlite3 (or a broken sidecar): fall back to the store itself.
         store = ResultStore(path, telemetry=telemetry)
-        counts: Counter = Counter()
-        for entry in store._entries.values():
-            status = entry.status if isinstance(entry, _LazyRecord) else entry.get("status")
-            counts[status] += 1
+        counts = Counter(map(ResultStore._status_of, store._entries.values()))
         by_status = dict(sorted(counts.items(), key=lambda kv: str(kv[0])))
         by_version = store.version_counts()
     stats["records"] = sum(by_status.values())
     stats["by_status"] = by_status
     stats["by_schema_version"] = by_version
-    # Compaction baseline: what the idx sidecar froze, vs what grew since.
-    compacted_bytes: Optional[int] = None
-    idx_json = Path(str(path) + ".idx.json")
-    try:
-        data = json.loads(idx_json.read_text(encoding="utf-8"))
-        if data.get("version") == _INDEX_VERSION and isinstance(data.get("data_bytes"), int):
-            compacted_bytes = data["data_bytes"]
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-        pass
-    if compacted_bytes is not None:
+    # Compaction baseline: the length compact() left, vs what grew since.
+    if baseline is not None:
+        compacted_bytes, appended_records = baseline
         stats["compacted_bytes"] = compacted_bytes
         stats["appended_bytes_since_compact"] = max(0, stats["bytes"] - compacted_bytes)
-        if idx is not None:
-            try:
-                stats["appended_records_since_compact"] = idx.records_beyond(compacted_bytes)
-            except sqlindex.SIDECAR_ERRORS:
-                pass
+        stats["appended_records_since_compact"] = appended_records
     # Cache economics of the most recent campaign against this store, from
     # the metrics sidecar (cache_hits / executed counters).
     try:

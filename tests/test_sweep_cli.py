@@ -420,7 +420,7 @@ class TestBoundaryExecution:
         )
         assert _build_boundary_query(args).predicate == "uptime-95"
 
-    def test_fresh_removes_index_sidecar(self, tmp_path, capsys):
+    def test_fresh_recomputes_every_cell_after_compact(self, tmp_path, capsys):
         store = tmp_path / "boundary.jsonl"
         argv = [
             "boundary",
@@ -440,13 +440,24 @@ class TestBoundaryExecution:
         ]
         assert main(argv) == 0
         assert main(["store", "compact", "--store", str(store)]) == 0
-        index = tmp_path / "boundary.jsonl.idx.json"
-        assert index.exists()
-        # --fresh must drop the sidecar with the store, or the next open
-        # would resurrect phantom records from stale offsets.
-        assert main(argv + ["--fresh"]) == 0
         capsys.readouterr()
-        assert not index.exists()
+        before = store.read_text().splitlines()
+        # --fresh must not resurrect a record from the old store's index.
+        assert main(argv + ["--fresh"]) == 0
+        out = capsys.readouterr().out
+        after = store.read_text().splitlines()
+        assert f"executed  : {len(before)}" in out and "cached    : 0" in out
+        assert len(after) == len(before) and not set(after) & set(before)
+        # The sidecar indexes exactly the new file's lines.
+        from repro.sweep.store import ResultStore
+
+        starts = [0]
+        for line in after[:-1]:
+            starts.append(starts[-1] + len(line) + 1)
+        inventory = ResultStore(store).sqlite_index().inventory()
+        assert [(row[0], row[1]) for row in inventory] == [
+            (json.loads(line)["scenario_id"], start) for line, start in zip(after, starts)
+        ]
 
     def test_preset_rejects_inapplicable_axis_override(self, tmp_path):
         with pytest.raises(SystemExit, match="does not take"):
@@ -539,7 +550,7 @@ class TestExportAndStoreMaintenance:
         assert main(["store", "compact", "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "Compacted" in out
-        assert (tmp_path / "campaign.jsonl.idx.json").exists()
+        assert (tmp_path / "campaign.jsonl.sqlite").exists()
         # The compacted store still serves the campaign entirely from cache.
         assert main(self._tiny_sweep_argv(store)) == 0
         out = capsys.readouterr().out

@@ -1,13 +1,19 @@
 """Tests for the JSONL result store (repro.sweep.store)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro import faults
+from repro.faults import FaultPlan, FaultRule
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.telemetry import Telemetry
+from repro.obs.tracer import NULL_TRACER
 from repro.sim.result import SimulationResult
 from repro.sweep.spec import SCHEMA_VERSION, ScenarioConfig
-from repro.sweep.store import ResultStore, merge_stores
+from repro.sweep.store import ResultStore, _LazyRecord, merge_stores
 
 
 def make_record(config: ScenarioConfig, status: str = "ok", **extra) -> dict:
@@ -264,8 +270,8 @@ class TestCompaction:
         assert stats["dropped_lines"] == 4
         assert stats["bytes_after"] < stats["bytes_before"]
         assert len(path.read_text().splitlines()) == 4
-        assert store.index_path.exists()
-        assert stats["index_path"] == str(store.index_path)
+        assert store.sqlite_path.exists()
+        assert stats["index_path"] == str(store.sqlite_path)
         # The compacted store is still fully queryable in-process.
         assert all(store.is_complete(c) for c in configs)
 
@@ -277,8 +283,6 @@ class TestCompaction:
         reloaded = ResultStore(path)
         assert len(reloaded) == 4
         # Cache-hit checks answer from the index without parsing any record.
-        from repro.sweep.store import _LazyRecord
-
         assert all(isinstance(e, _LazyRecord) for e in reloaded._entries.values())
         assert all(reloaded.is_complete(c) for c in configs)
         assert all(isinstance(e, _LazyRecord) for e in reloaded._entries.values())
@@ -305,6 +309,7 @@ class TestCompaction:
         path = tmp_path / "store.jsonl"
         store, _ = self._filled_store(path)
         store.compact()
+        assert store.sqlite_path.exists()
         first_line = path.read_text().splitlines(keepends=True)[0]
         path.write_text(first_line)
 
@@ -316,11 +321,115 @@ class TestCompaction:
         path = tmp_path / "store.jsonl"
         store, configs = self._filled_store(path)
         store.compact()
-        store.index_path.write_text("{not json")
+        store.sqlite_path.write_text("{not json")
 
         reloaded = ResultStore(path)
         assert len(reloaded) == 4
         assert all(reloaded.is_complete(c) for c in configs)
+
+        # A sidecar that fails with an I/O error: the open degrades to the
+        # linear scan and still answers every lookup.
+        faults.install(
+            FaultPlan(rules=(FaultRule(site="sqlindex.refresh", error_type="io"),))
+        )
+        metrics = MetricsRegistry()
+        try:
+            scanned = ResultStore(path, telemetry=Telemetry(NULL_TRACER, metrics))
+        finally:
+            faults.reset()
+        counters = metrics.to_dict()["counters"]
+        assert counters["store.idx_miss"] == 1 and "store.idx_hit" not in counters
+        assert len(scanned) == 4
+        assert all(scanned.is_complete(c) for c in configs)
+        assert scanned.get(configs[0])["status"] == "ok"
+
+    def test_larger_store_copied_over_compacted_one_gives_no_phantom_hits(self, tmp_path):
+        """A bigger file copied over a compacted store is what the store now
+        holds: its count, and no cache hit for a record it no longer has."""
+        path = tmp_path / "store.jsonl"
+        store, configs = self._filled_store(path, n=2)
+        store.compact()
+        other_path = tmp_path / "other.jsonl"
+        other = ResultStore(other_path)
+        others = [ScenarioConfig(governor="powersave", seed=i) for i in range(5)]
+        for config in others:
+            other.append(make_record(config, padding="x" * 64))
+        assert other_path.stat().st_size > path.stat().st_size
+        path.write_bytes(other_path.read_bytes())
+
+        reloaded = ResultStore(path)
+        assert len(reloaded) == 5
+        assert not any(reloaded.is_complete(c) for c in configs)
+        assert all(reloaded.get(c) is None for c in configs)
+        assert all(reloaded.is_complete(c) for c in others)
+
+    def test_same_size_rewrite_in_place_gives_no_phantom_hits(self, tmp_path):
+        """A compacted store rewritten in place to the same length (different
+        records) must not answer from the old index."""
+        path = tmp_path / "store.jsonl"
+        ids = ["c0", "c1"]
+        store = ResultStore(path)
+        for scenario_id in ids:
+            store.append({"scenario_id": scenario_id, "status": "ok", "summary": {}})
+        store.compact()
+        before = path.stat()
+        path.write_text(
+            path.read_text(encoding="utf-8").replace('"c0"', '"d0"'), encoding="utf-8"
+        )
+        # The worst case: a rewrite within the same file-timestamp tick as
+        # the compact, which keeps the mtime as well as the size.
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert path.stat().st_size == before.st_size
+
+        reloaded = ResultStore(path)
+        assert not reloaded.is_complete("c0") and reloaded.get("c0") is None
+        assert reloaded.is_complete("d0") and reloaded.is_complete("c1")
+
+    def test_recreated_store_does_not_inherit_the_old_index(self, tmp_path):
+        """A store deleted and written anew (``--fresh``) must not be read
+        through its predecessor's sidecar, even where the new file repeats
+        the old last line at the same offset."""
+        path = tmp_path / "store.jsonl"
+        old = ResultStore(path)
+        for scenario_id in ("c0", "c1"):
+            old.append({"scenario_id": scenario_id, "status": "ok"})
+        # Indexed well after its last write, as an old store is.
+        stat = path.stat()
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns - 10_000_000_000))
+        old.sqlite_index().ensure()
+        old.sqlite_index().close()
+        path.unlink()
+
+        fresh = ResultStore(path)
+        for scenario_id in ("d0", "c1", "d2"):
+            fresh.append({"scenario_id": scenario_id, "status": "ok"})
+        reloaded = ResultStore(path)
+        assert not reloaded.is_complete("c0") and reloaded.get("c0") is None
+        assert sorted(reloaded._entries) == ["c1", "d0", "d2"]
+
+    def test_retried_record_keeps_its_place_on_every_open_path(self, tmp_path):
+        """A retry supersedes its record in place: an open through the
+        sidecar (tail scan included) and a linear scan load the same order,
+        and compact() writes it."""
+        path = tmp_path / "store.jsonl"
+        a, b = ScenarioConfig(governor="power-neutral"), ScenarioConfig(governor="powersave")
+        store = ResultStore(path)
+        store.append(make_record(a, status="error"))
+        store.append(make_record(b))
+        store.sqlite_index().ensure()
+        store.sqlite_index().close()
+        store.append(make_record(a))  # the retry lands after b
+        order = [a.scenario_id, b.scenario_id]
+
+        via_index = ResultStore(path)
+        assert all(isinstance(e, _LazyRecord) for e in via_index._entries.values())
+        assert [r["scenario_id"] for r in via_index.records()] == order
+        store.sqlite_path.unlink()
+        via_scan = ResultStore(path)
+        assert [r["scenario_id"] for r in via_scan.records()] == order
+        via_scan.compact()
+        assert [json.loads(line)["scenario_id"] for line in path.open()] == order
+        assert ResultStore(path).is_complete(a)
 
     def test_compact_preserves_schema_version_accounting(self, tmp_path):
         path = tmp_path / "store.jsonl"
@@ -352,7 +461,7 @@ class TestMerge:
         dest = ResultStore(tmp_path / "merged.jsonl")
         stats = dest.merge(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
         assert stats["merged"] == 2 and stats["records"] == 2
-        assert dest.index_path.exists()  # merged idx rewritten
+        assert dest.sqlite_path.exists()  # merged store re-indexed
         reloaded = ResultStore(tmp_path / "merged.jsonl")
         assert reloaded.is_complete(a) and reloaded.is_complete(b)
 
@@ -421,7 +530,7 @@ class TestMerge:
         """A never-compacted source (no sidecar) is fully parsed and merged."""
         config = ScenarioConfig(governor="power-neutral")
         src = self._store_with(tmp_path / "plain.jsonl", [make_record(config)])
-        assert not src.index_path.exists()
+        assert not src.sqlite_path.exists()
         dest = ResultStore(tmp_path / "merged.jsonl")
         assert dest.merge(tmp_path / "plain.jsonl")["merged"] == 1
         assert dest.is_complete(config)
@@ -450,12 +559,12 @@ class TestMerge:
         dest = ResultStore(tmp_path / "merged.jsonl")
         dest.merge(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
         after_merge = (tmp_path / "merged.jsonl").read_bytes()
-        index_after_merge = dest.index_path.read_bytes()
+        index_after_merge = dest.sqlite_index().inventory()
 
         stats = ResultStore(tmp_path / "merged.jsonl").compact()
         assert stats["records"] == 2 and stats["dropped_lines"] == 0
         assert (tmp_path / "merged.jsonl").read_bytes() == after_merge
-        assert dest.index_path.read_bytes() == index_after_merge
+        assert dest.sqlite_index().inventory() == index_after_merge
 
     def test_merge_into_itself_is_rejected(self, tmp_path):
         store = self._store_with(
