@@ -2,12 +2,11 @@
 
 Times representative closed-loop scenarios — PV / controlled-voltage /
 constant-power supplies crossed with interrupt- and tick-driven governors —
-with the fast engine (tabulated I-V surface, event-driven load power,
-allocation-free recording; the default) against the exact reference engine
-(per-step Lambert-W solves, eager MPP lookups, kwargs recording), asserts
-that the summary metrics agree, and writes the measurements to
-``BENCH_sim.json`` so the performance trajectory is tracked from PR 4
-onward.
+with the fast engine (tabulated I-V surface; the default) against the exact
+engine (per-call Lambert-W supply solves).  Both run the same simulator
+loop, so the speedup and the metric drift measure the tabulation alone.  It
+asserts that the summary metrics agree and writes the measurements to
+``BENCH_sim.json`` so the performance trajectory is tracked.
 
 Run as a script::
 
@@ -40,8 +39,7 @@ def scenarios(duration_s: float) -> list[tuple[str, ScenarioConfig]]:
     return [
         (
             # The default rig: PV array + the paper's interrupt-driven
-            # governor.  This is the scenario the >=5x acceptance criterion
-            # is measured on.
+            # governor; its speedup is the headline the ledger records.
             "pv-interrupt",
             ScenarioConfig(governor="power-neutral", supply="pv-array", duration_s=duration_s),
         ),
@@ -185,7 +183,7 @@ def main(argv=None) -> int:
     emit(f"\nwrote {args.out}")
 
     pv = next(r for r in record["scenarios"] if r["scenario"] == "pv-interrupt")
-    emit(f"pv-interrupt speedup: {pv['speedup']:.2f}x (acceptance target >= 5x)")
+    emit(f"pv-interrupt speedup: {pv['speedup']:.2f}x")
 
     ledger = append_ledger(
         args.out,

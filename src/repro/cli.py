@@ -49,8 +49,9 @@ other subcommand consumes::
     repro-pns store merge campaign.jsonl shard-0.jsonl shard-1.jsonl
     repro-pns sweep --preset table2-pv --store campaign.jsonl --resume   # executed: 0
 
-Any campaign or boundary search can run on the exact reference engine
-instead of the fast core (``--exact``); the engine is not part of the
+Any campaign or boundary search can solve the PV supply current exactly
+(Lambert-W per call) instead of from the tabulated I-V surface (``--exact``);
+both engines run the same simulator loop, and the engine is not part of the
 scenario identity, so both engines share one store::
 
     repro-pns sweep --preset table2-pv --exact --store campaign.jsonl
@@ -835,9 +836,10 @@ def _add_exact_flag(parser: argparse.ArgumentParser) -> None:
         "--exact",
         action="store_true",
         help=(
-            "run the exact reference simulation engine (build_system(fast=False)) "
-            "instead of the fast core; an execution detail only — stores stay "
-            "comparable because the engine is not part of the scenario hash"
+            "solve the PV supply current exactly (Lambert-W per call, "
+            "build_system(fast=False)) instead of from the tabulated I-V surface; "
+            "an execution detail only — stores stay comparable because the "
+            "engine is not part of the scenario hash"
         ),
     )
 

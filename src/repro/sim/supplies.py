@@ -226,9 +226,10 @@ class PVArraySupply(Supply):
     pays the tabulation cost), and its interpolation error is checked against
     the exact solve at build time, before any lookup is answered.
     ``exact=True`` bypasses tabulation and solves the single-diode equation
-    (Lambert-W) on every call, with MPP/Voc answered from the original
-    ``np.interp`` cache — the reference engine's numerics, preserved
-    verbatim; the flag can also be toggled on a built supply.
+    (Lambert-W) on every call, with MPP/Voc answered from a 64-point
+    ``np.interp`` cache — the exact engine's numerics, the reference the
+    parity tests compare against; the flag can also be toggled on a built
+    supply.
 
     Parameters
     ----------
@@ -420,9 +421,8 @@ class PVArraySupply(Supply):
         """MPP power at time ``t`` — the record-tick "available power" channel.
 
         In fast mode this samples the table's 1-D MPP curve (pure float
-        operations); in exact mode the original ``np.interp`` over the
-        dedicated MPP cache is preserved verbatim, keeping the reference
-        engine's numerics untouched.
+        operations); in exact mode it interpolates the dedicated MPP cache
+        with ``np.interp``, the exact engine's numerics.
         """
         g = self.irradiance_at(t)
         if not self._exact:

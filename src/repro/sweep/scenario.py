@@ -153,7 +153,7 @@ def run_scenario(
     ``config`` (composed schema), ``status``, ``summary``, ``engine`` and
     ``elapsed_s``; when ``series_samples`` > 0 it also carries the full
     :meth:`SimulationResult.to_dict` payload decimated to that many samples
-    under ``"series"``.  ``fast=False`` runs the exact reference engine
+    under ``"series"``.  ``fast=False`` runs the exact engine
     (``build_system(fast=False)``); the choice is stamped into the record as
     ``"engine"`` for post-mortems but is *not* part of the scenario identity,
     so stores stay comparable across engines.

@@ -1,20 +1,24 @@
-"""Fast-path vs exact parity suite (PR 4 tentpole).
+"""Fast-path vs exact parity suite.
 
-Covers the three layers of the fast simulation core:
+Covers the layers of the fast simulation core:
 
 * the tabulated bilinear I-V surface against the exact Lambert-W solve
   (grid parity within the declared tolerance, ``exact=True`` bypass),
 * the vectorised building blocks it rests on (``current_array``,
   ``open_circuit_voltage_array``, ``TraceCursor``, ``state_at``),
-* the fast simulator engine end-to-end against the reference engine on the
-  Table II seed scenarios (summary metrics within 1%, brown-out counts
-  exactly equal).
+* the exact engine pinned to literal summary metrics, and the fast engine
+  against the exact engine end to end — on the Table II seed scenarios and
+  in a Hypothesis differential test over the registry space (brown-out
+  counts exactly equal, instructions and consumed energy within 1%).  Both
+  engines run the same simulator loop, so the differential measures the
+  tabulation error of the I-V surface alone.
 """
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.energy.irradiance import constant_irradiance
 from repro.energy.pv_array import paper_pv_array
@@ -25,6 +29,7 @@ from repro.soc.cores import CoreConfig
 from repro.soc.exynos5422 import build_exynos5422_platform
 from repro.soc.opp import GHZ, OperatingPoint
 from repro.sweep.build import build_system
+from repro.sweep.components import GOVERNORS
 from repro.sweep.spec import ScenarioConfig
 
 
@@ -135,8 +140,8 @@ class TestTabulatedAuxiliaryCurves:
 
     The record-tick channels are answered from the table's 1-D MPP and Voc
     rows in fast mode (pure float operations) and must agree with both the
-    exact per-irradiance solve and the reference engine's ``np.interp``
-    cache, which exact mode preserves verbatim.
+    exact per-irradiance solve and the exact engine's ``np.interp``
+    cache.
     """
 
     def _ramp_supply(self, **kwargs) -> PVArraySupply:
@@ -179,7 +184,7 @@ class TestTabulatedAuxiliaryCurves:
             )
 
     def test_exact_mode_keeps_the_interp_cache_path(self):
-        """The reference engine's numerics must be untouched: in exact mode
+        """The exact engine's numerics must be untouched: in exact mode
         the channels answer from the np.interp cache and never build the
         table."""
         supply = self._ramp_supply(exact=True)
@@ -378,9 +383,7 @@ class TestEndToEndParity:
         config = ScenarioConfig(governor="power-neutral", supply="pv-array", duration_s=5.0)
         fast_system = build_system(config, fast=True)
         exact_system = build_system(config, fast=False)
-        assert fast_system.simulation.config.fast is True
         assert fast_system.simulation.supply.exact is False
-        assert exact_system.simulation.config.fast is False
         assert exact_system.simulation.supply.exact is True
         # The exact system must never have paid for (or built) the table.
         assert exact_system.simulation.supply._table is None
@@ -406,3 +409,129 @@ class TestEndToEndParity:
         np.testing.assert_allclose(arrays["times"], np.arange(100.0))
         assert arrays["n_little"].dtype.kind == "i"
         assert list(arrays["n_little"][:3]) == [4, 4, 4]
+
+
+# ----------------------------------------------------------------------
+# Exact engine pinned to literal metrics
+# ----------------------------------------------------------------------
+#: name -> (ScenarioConfig kwargs, SimulationConfig overrides,
+#: (total_instructions, harvested_energy_j, consumed_energy_j,
+#:  brownout_count, transition_count, interrupt_count, len(events))).
+#: Captured from the exact engine on 12 s runs; any change to the loop or to
+#: the exact supply numerics moves them.
+PINNED_EXACT = {
+    "pv-power-neutral": (
+        dict(governor="power-neutral", supply="pv-array"),
+        {},
+        (24242233878.405132, 49.3524907110252, 49.20307947153923, 0, 51, 98, 149),
+    ),
+    "pv-ondemand": (
+        dict(governor="ondemand", supply="pv-array"),
+        {},
+        (506542172.7656192, 2.553335380462096, 2.1482924000553156, 2, 2, 0, 5),
+    ),
+    "constant-power-ondemand": (
+        dict(governor="ondemand", supply={"kind": "constant-power", "power_w": 2.5}),
+        {},
+        (165242562.67063856, 1.735501012926379, 1.5263695346149648, 2, 2, 0, 5),
+    ),
+    "controlled-voltage-fig11": (
+        dict(governor="power-neutral-fig11", supply="controlled-voltage"),
+        {},
+        (878025000.0000219, 21.28808015625049, 21.28808015625049, 0, 1, 1, 2),
+    ),
+    "pv-stop-on-brownout": (
+        dict(
+            governor="performance",
+            supply={"kind": "pv-array", "weather": "cloud"},
+            capacitance_f=4.7e-3,
+        ),
+        {"stop_on_brownout": True},
+        (250840.315195322, 0.010106256370597144, 0.03662386113179904, 1, 1, 0, 2),
+    ),
+    "constant-power-no-monitor-power": (
+        dict(
+            governor="power-neutral",
+            supply={"kind": "constant-power", "power_w": 2.0},
+            capacitance_f=4.7e-3,
+        ),
+        {"include_monitor_power": False},
+        (3560851528.038507, 24.0, 24.020012961050025, 0, 18, 33, 51),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXACT))
+def test_exact_engine_matches_pinned_metrics(name):
+    kwargs, overrides, expected = PINNED_EXACT[name]
+    config = ScenarioConfig(duration_s=12.0, **kwargs)
+    result = build_system(config, fast=False, **overrides).run()
+    instructions, harvested, consumed, *counts = expected
+    # scipy's lambertw may differ in the last bits across platforms; the
+    # pure-Python supplies must reproduce to rounding.
+    rel = 1e-6 if config.supply.kind == "pv-array" else 1e-9
+    assert result.total_instructions == pytest.approx(instructions, rel=rel)
+    assert result.harvested_energy_j == pytest.approx(harvested, rel=rel)
+    assert result.consumed_energy_j == pytest.approx(consumed, rel=rel)
+    assert [
+        result.brownout_count,
+        result.transition_count,
+        result.interrupt_count,
+        len(result.events),
+    ] == counts
+
+
+# ----------------------------------------------------------------------
+# Differential test: fast vs exact over the registry space
+# ----------------------------------------------------------------------
+_supplies = st.one_of(
+    st.builds(
+        lambda weather, seed: {"kind": "pv-array", "weather": weather, "seed": seed},
+        st.sampled_from(["full_sun", "partial_sun", "cloud", "hail"]),
+        st.integers(min_value=0, max_value=1000),
+    ),
+    st.builds(
+        lambda power_w: {"kind": "constant-power", "power_w": power_w},
+        st.floats(min_value=0.0, max_value=5.0),
+    ),
+    st.just({"kind": "controlled-voltage"}),
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    governor=st.sampled_from(GOVERNORS.names()),
+    supply=_supplies,
+    capacitance_f=st.floats(min_value=4.7e-3, max_value=100e-3),
+    duration_s=st.floats(min_value=5.0, max_value=20.0),
+)
+def test_fast_matches_exact_over_registry_space(governor, supply, capacitance_f, duration_s):
+    config = ScenarioConfig(
+        governor=governor, supply=supply, capacitance_f=capacitance_f, duration_s=duration_s
+    )
+    fast, exact = _run_both(config)
+    assert fast.brownout_count == exact.brownout_count
+    for name in ("total_instructions", "consumed_energy_j"):
+        a = float(getattr(fast, name))
+        b = float(getattr(exact, name))
+        assert a == pytest.approx(b, rel=0.01, abs=1e-9), name
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "known defect: the bilinear IVSurfaceTable interpolates across the "
+        "clipped open-circuit kink (4.1 mA at 819 W/m^2 and 6.712 V where "
+        "the exact current is 0 A), so a small buffer that cycles through "
+        "brown-outs and sits at Voc over-harvests"
+    ),
+)
+def test_harvested_energy_parity_across_the_voc_kink():
+    config = ScenarioConfig(
+        governor="interactive",
+        supply={"kind": "pv-array", "weather": "full_sun", "seed": 1},
+        capacitance_f=4.7e-3,
+        duration_s=20.0,
+    )
+    fast, exact = _run_both(config)
+    assert fast.harvested_energy_j == pytest.approx(exact.harvested_energy_j, rel=0.01)
