@@ -8,6 +8,12 @@ loop, so the speedup and the metric drift measure the tabulation alone.  It
 asserts that the summary metrics agree and writes the measurements to
 ``BENCH_sim.json`` so the performance trajectory is tracked.
 
+Per engine and scenario it reports three numbers: ``cold_run_s`` (build plus
+first run with the per-process I-V table cache cleared — what a fresh process
+pays), ``reuse_run_s`` (build plus first run with the table already cached —
+what campaign cells 2..n pay) and ``warm_run_s`` (best repeated run of one
+built system).
+
 Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_perf_sim.py            # full
@@ -27,6 +33,7 @@ from pathlib import Path
 
 from _bench_utils import append_ledger, emit, print_header, provenance
 
+from repro.sim.supplies import clear_iv_table_cache
 from repro.sweep.build import build_system
 from repro.sweep.spec import ScenarioConfig
 
@@ -72,20 +79,29 @@ def _metrics(result) -> dict:
     return out
 
 
-def _time_engine(config: ScenarioConfig, fast: bool, repeats: int) -> dict:
-    """Build + warm + time one engine; returns timings and summary metrics."""
+def _build_and_run(config: ScenarioConfig, fast: bool):
+    """Wall time of build + first run, the result and the built system."""
     t0 = time.perf_counter()
     built = build_system(config, fast=fast)
-    cold_build_s = time.perf_counter() - t0
+    result = built.run()
+    return time.perf_counter() - t0, result, built
 
-    result = built.run()  # warm-up (and the parity-checked result)
+
+def _time_engine(config: ScenarioConfig, fast: bool, repeats: int) -> dict:
+    """Cold, reuse and warm timings of one engine, plus its summary metrics."""
+    # Clear first: otherwise a scenario would reuse the table an earlier
+    # scenario with the same PV inputs built, and its cold number would lie.
+    clear_iv_table_cache()
+    cold_run_s, result, _ = _build_and_run(config, fast)  # the parity-checked result
+    reuse_run_s, _, built = _build_and_run(config, fast)
     timings = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         built.run()
         timings.append(time.perf_counter() - t0)
     return {
-        "cold_build_s": cold_build_s,
+        "cold_run_s": cold_run_s,
+        "reuse_run_s": reuse_run_s,
         "warm_run_s": min(timings),
         "warm_run_median_s": sorted(timings)[len(timings) // 2],
         "metrics": _metrics(result),
@@ -127,8 +143,10 @@ def run_bench(duration_s: float, repeats: int, max_drift: float) -> dict:
             }
         )
         emit(
-            f"{name:22s}  fast {fast['warm_run_s'] * 1e3:8.1f} ms   "
-            f"exact {exact['warm_run_s'] * 1e3:8.1f} ms   "
+            f"{name:22s}  fast {fast['warm_run_s'] * 1e3:8.1f} ms "
+            f"(cold {fast['cold_run_s'] * 1e3:6.1f}, reuse {fast['reuse_run_s'] * 1e3:6.1f})   "
+            f"exact {exact['warm_run_s'] * 1e3:8.1f} ms "
+            f"(cold {exact['cold_run_s'] * 1e3:6.1f}, reuse {exact['reuse_run_s'] * 1e3:6.1f})   "
             f"speedup {speedup:5.2f}x   drift {drift:.2e}   "
             f"brownouts {fast['metrics']['brownout_count']}/"
             f"{exact['metrics']['brownout_count']}"
@@ -193,9 +211,10 @@ def main(argv=None) -> int:
         scenarios=len(record["scenarios"]),
         executed=len(record["scenarios"]),
         phases={
-            f"{row['scenario']}.{engine}_warm_run": row[engine]["warm_run_s"]
+            f"{row['scenario']}.{engine}_{kind}_run": row[engine][f"{kind}_run_s"]
             for row in record["scenarios"]
             for engine in ("fast", "exact")
+            for kind in ("cold", "reuse", "warm")
         },
         meta={
             "pv_interrupt_speedup": round(pv["speedup"], 3),

@@ -16,6 +16,7 @@ simulator.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 
 import numpy as np
 
@@ -28,6 +29,7 @@ __all__ = [
     "PVArraySupply",
     "ControlledVoltageSupply",
     "ConstantPowerSupply",
+    "clear_iv_table_cache",
 ]
 
 
@@ -90,6 +92,11 @@ class IVSurfaceTable:
     vs irradiance — on the same irradiance grid, so :meth:`mpp_power` and
     :meth:`open_circuit_voltage` are a couple of float operations instead of
     a ``np.interp`` dispatch each.
+
+    A built table is read-only: :class:`PVArraySupply` shares one table
+    between every supply of the process whose array, irradiance range, grid
+    and tolerance are equal (see :func:`clear_iv_table_cache`), so nothing
+    may mutate it after construction.
     """
 
     __slots__ = (
@@ -215,21 +222,36 @@ class IVSurfaceTable:
         return self._sample_irradiance_row(self._voc_row, irradiance)
 
 
+#: Most distinct I-V surfaces one process keeps.  A PV campaign cycles its
+#: weather traces inside each governor, so the bound must hold one table per
+#: weather (there are four presets) or the cache thrashes; it also caps what
+#: a long-lived service keeps (a refined cloud table is ~13 MB).
+_TABLE_CACHE_SIZE = 4
+_TABLE_CACHE: OrderedDict[tuple, IVSurfaceTable] = OrderedDict()
+
+
+def clear_iv_table_cache() -> None:
+    """Forget every shared I-V table, so the next fast lookup builds afresh."""
+    _TABLE_CACHE.clear()
+
+
 class PVArraySupply(Supply):
     """A PV array illuminated by an irradiance trace.
 
     By default the supply answers :meth:`current` — and, on record ticks,
     :meth:`available_power` / :meth:`open_circuit_voltage` — from a tabulated
     :class:`IVSurfaceTable` (the bilinear I-V surface plus its 1-D MPP/Voc
-    curves): the simulator's fast path.  The table is built lazily, at the
+    curves): the simulator's fast path.  The table is fetched lazily, at the
     first fast lookup (so a supply immediately switched to ``exact`` never
-    pays the tabulation cost), and its interpolation error is checked against
-    the exact solve at build time, before any lookup is answered.
-    ``exact=True`` bypasses tabulation and solves the single-diode equation
-    (Lambert-W) on every call, with MPP/Voc answered from a 64-point
-    ``np.interp`` cache — the exact engine's numerics, the reference the
-    parity tests compare against; the flag can also be toggled on a built
-    supply.
+    pays the tabulation cost), from a per-process cache keyed on the cell
+    parameters, topology, irradiance maximum, grid and tolerance: supplies
+    with equal inputs share one table, and only a new key builds one, its
+    interpolation error checked against the exact solve before any lookup is
+    answered.  ``exact=True`` bypasses tabulation and solves the single-diode
+    equation (Lambert-W) on every call, with MPP/Voc answered from a 64-point
+    ``np.interp`` curve built on the first exact MPP/Voc call — the exact
+    engine's numerics, the reference the parity tests compare against; the
+    flag can also be toggled on a built supply.
 
     Parameters
     ----------
@@ -238,9 +260,10 @@ class PVArraySupply(Supply):
     irradiance:
         Irradiance trace in W/m^2; times outside the trace clamp to its ends.
     mpp_cache_points:
-        The available-power curve (P_mpp vs irradiance) is pre-computed on a
-        grid of this many irradiance values and interpolated, because locating
-        the MPP exactly at every simulation step would dominate the run time.
+        In exact mode the available-power and open-circuit-voltage curves
+        (vs irradiance) are computed on a grid of this many irradiance values,
+        on first exact use, and interpolated, because locating the MPP exactly
+        at every simulation step would dominate the run time.
     exact:
         Solve the I-V equation exactly per call instead of interpolating the
         tabulated surface.
@@ -266,11 +289,9 @@ class PVArraySupply(Supply):
             raise ValueError("mpp_cache_points must be at least 2")
         self.array = array
         self.irradiance = irradiance
-        g_max = max(float(irradiance.maximum()), 1.0)
-        self._cache_irradiances = np.linspace(0.0, g_max, mpp_cache_points)
-        self._cache_mpp_power = array.mpp_power_array(self._cache_irradiances)
-        self._cache_voc = array.open_circuit_voltage_array(self._cache_irradiances)
-        self._g_max = g_max
+        self._mpp_cache_points = mpp_cache_points
+        self._cache_irradiances: np.ndarray | None = None
+        self._g_max = max(float(irradiance.maximum()), 1.0)
         self._g_cursor = TraceCursor(irradiance)
         self._table_voltage_points = int(table_voltage_points)
         self._table_irradiance_points = int(table_irradiance_points)
@@ -279,13 +300,41 @@ class PVArraySupply(Supply):
         self._exact = bool(exact)
 
     def _build_table(self) -> IVSurfaceTable:
-        return IVSurfaceTable(
-            self.array,
+        """The process's shared table for this supply, built on a cache miss.
+
+        The key is every input the table is a function of, by value, so the
+        fresh ``PVArray`` each scenario builds still hits.  A failed build
+        raises before anything is stored.  Pop-and-reinsert marks a hit most
+        recently used without a lock: concurrent campaign threads can at
+        worst build one key twice.
+        """
+        key = (
+            self.array.cell.parameters,
+            self.array.topology,
             self._g_max,
-            voltage_points=self._table_voltage_points,
-            irradiance_points=self._table_irradiance_points,
-            rel_tol=self._table_rel_tol,
+            self._table_voltage_points,
+            self._table_irradiance_points,
+            self._table_rel_tol,
         )
+        table = _TABLE_CACHE.pop(key, None)
+        if table is None:
+            table = IVSurfaceTable(
+                self.array,
+                self._g_max,
+                voltage_points=self._table_voltage_points,
+                irradiance_points=self._table_irradiance_points,
+                rel_tol=self._table_rel_tol,
+            )
+        _TABLE_CACHE[key] = table
+        while len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
+            _TABLE_CACHE.popitem(last=False)
+        return table
+
+    def _build_exact_curves(self) -> None:
+        """The exact engine's MPP/Voc curves, on the first exact-mode call."""
+        self._cache_irradiances = np.linspace(0.0, self._g_max, self._mpp_cache_points)
+        self._cache_mpp_power = self.array.mpp_power_array(self._cache_irradiances)
+        self._cache_voc = self.array.open_circuit_voltage_array(self._cache_irradiances)
 
     @property
     def exact(self) -> bool:
@@ -300,10 +349,11 @@ class PVArraySupply(Supply):
     def iv_table(self) -> IVSurfaceTable | None:
         """The tabulated I-V surface (``None`` in exact mode).
 
-        In fast mode the table is built — and its interpolation error
-        checked — on first access, which is also what the first fast lookup
-        does.  A previously built table is retained internally across
-        ``exact`` toggles but never exposed while exact mode is active.
+        In fast mode the table is fetched from the per-process cache — and,
+        on a miss, built and its interpolation error checked — on first
+        access, which is also what the first fast lookup does.  A fetched
+        table is retained internally across ``exact`` toggles but never
+        exposed while exact mode is active.
         """
         if self._exact:
             return None
@@ -421,18 +471,23 @@ class PVArraySupply(Supply):
         """MPP power at time ``t`` — the record-tick "available power" channel.
 
         In fast mode this samples the table's 1-D MPP curve (pure float
-        operations); in exact mode it interpolates the dedicated MPP cache
-        with ``np.interp``, the exact engine's numerics.
+        operations); in exact mode it interpolates the dedicated MPP curve
+        (built on the first exact call) with ``np.interp``, the exact
+        engine's numerics.
         """
         g = self.irradiance_at(t)
         if not self._exact:
             return self.iv_table.mpp_power(g)
+        if self._cache_irradiances is None:
+            self._build_exact_curves()
         return float(np.interp(g, self._cache_irradiances, self._cache_mpp_power))
 
     def open_circuit_voltage(self, t: float) -> float:
         g = self.irradiance_at(t)
         if not self._exact:
             return self.iv_table.open_circuit_voltage(g)
+        if self._cache_irradiances is None:
+            self._build_exact_curves()
         return float(np.interp(g, self._cache_irradiances, self._cache_voc))
 
 

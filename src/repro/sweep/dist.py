@@ -37,8 +37,8 @@ from __future__ import annotations
 import functools
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
-import queue as queue_module
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -252,7 +252,11 @@ def _shard_worker(payload: dict, outbox) -> None:
 
     Executes its config subset with a serial/pooled :class:`SweepRunner`
     against the shard's own store, streaming lightweight progress messages
-    (series payloads stripped) and a final summary over ``outbox``.  When the
+    (series payloads stripped) and a final summary over ``outbox``, the
+    write end of a pipe only this worker holds.  ``send`` is synchronous and
+    nothing is shared between workers, so a worker that dies mid-campaign
+    cannot leave a lock held that wedges the others (a ``multiprocessing``
+    queue's feeder thread holds one cross-process lock per write).  When the
     coordinator hands it a trace directory, the worker builds its *own*
     per-process telemetry there (``trace-shard-I-<pid>.jsonl`` plus a metrics
     sidecar next to the shard store) — trace files merge on read, like shard
@@ -293,7 +297,7 @@ def _shard_worker(payload: dict, outbox) -> None:
                     "dist.worker_loop", telemetry=telemetry, shard=shard_index, done=done
                 )
             lite = {k: v for k, v in record.items() if k != "series"}
-            outbox.put(("progress", worker_id, done, total, lite, cached))
+            outbox.send(("progress", worker_id, done, total, lite, cached))
             now = time.monotonic()
             if now - last_beat >= 1.0:
                 last_beat = now
@@ -314,12 +318,12 @@ def _shard_worker(payload: dict, outbox) -> None:
         report = runner.run(configs)
         telemetry.tracer.event("worker.done", shard=shard_index, **report.summary())
         telemetry.write_metrics(store.path)
-        outbox.put(("done", worker_id, report.summary()))
+        outbox.send(("done", worker_id, report.summary()))
     except Exception as exc:  # noqa: BLE001 — a shard must report, not vanish
         telemetry.tracer.event(
             "worker.failed", shard=shard_index, error=f"{type(exc).__name__}: {exc}"
         )
-        outbox.put(("failed", worker_id, f"{type(exc).__name__}: {exc}"))
+        outbox.send(("failed", worker_id, f"{type(exc).__name__}: {exc}"))
     finally:
         telemetry.close()
 
@@ -621,7 +625,6 @@ class DistRunner:
         self.shard_dir.mkdir(parents=True, exist_ok=True)
         tracer, metrics = self.telemetry.tracer, self.telemetry.metrics
         ctx = multiprocessing.get_context()
-        outbox = ctx.Queue()
         units: dict[int, dict] = {}  # worker_id -> unit
         next_worker_id = 0
         respawns_left = self.respawn_budget
@@ -636,18 +639,22 @@ class DistRunner:
             nonlocal next_worker_id
             worker_id = next_worker_id
             next_worker_id += 1
+            inbox, outbox = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=_shard_worker,
                 args=(self._payload(shard_index, configs, worker_id, store_path), outbox),
                 daemon=False,  # shard workers may pool further
             )
             process.start()
+            # The worker holds the only write end, so its exit reads as EOF.
+            outbox.close()
             units[worker_id] = {
                 "worker_id": worker_id,
                 "shard_index": shard_index,
                 "configs": configs,
                 "store_path": store_path,
                 "process": process,
+                "inbox": inbox,
                 "last_seen": time.monotonic(),
                 "summary": None,
             }
@@ -695,6 +702,15 @@ class DistRunner:
                 unit["summary"] = message[2]
             elif unit is not None:  # "failed"
                 unit["summary"] = {"error": message[2]}
+
+        def drain(unit: dict) -> None:
+            """Handle every message waiting in a unit's pipe; close it at EOF."""
+            inbox = unit["inbox"]
+            try:
+                while not inbox.closed and inbox.poll():
+                    handle(inbox.recv())
+            except EOFError:
+                inbox.close()
 
         def handle_death(unit: dict, cause: str) -> None:
             """Account a dead unit and re-partition its unfinished remainder."""
@@ -750,11 +766,14 @@ class DistRunner:
 
         try:
             while any(unit["summary"] is None for unit in units.values()):
-                try:
-                    handle(outbox.get(timeout=0.2))
+                open_inboxes = {
+                    unit["inbox"]: unit for unit in units.values() if not unit["inbox"].closed
+                }
+                ready = multiprocessing.connection.wait(list(open_inboxes), timeout=0.2)
+                for inbox in ready:
+                    drain(open_inboxes[inbox])
+                if ready:
                     continue
-                except queue_module.Empty:
-                    pass
                 now = time.monotonic()
                 for unit in list(units.values()):
                     if unit["summary"] is not None:
@@ -774,12 +793,8 @@ class DistRunner:
                             )
                         continue
                     process.join()
-                    # Drain messages the dead worker flushed before exiting.
-                    try:
-                        while unit["summary"] is None:
-                            handle(outbox.get_nowait())
-                    except queue_module.Empty:
-                        pass
+                    # Handle messages the dead worker sent before exiting.
+                    drain(unit)
                     if unit["summary"] is None:
                         handle_death(unit, f"exited with code {process.exitcode}")
         finally:
@@ -788,6 +803,7 @@ class DistRunner:
                 if process.is_alive():
                     process.terminate()
                 process.join()
+                unit["inbox"].close()
                 tracer.event(
                     "worker.exit",
                     shard=unit["shard_index"],

@@ -4,6 +4,8 @@ Covers the layers of the fast simulation core:
 
 * the tabulated bilinear I-V surface against the exact Lambert-W solve
   (grid parity within the declared tolerance, ``exact=True`` bypass),
+* the per-process table cache (sharing by value, key coverage, LRU bound,
+  failures never cached, campaign records identical under reuse),
 * the vectorised building blocks it rests on (``current_array``,
   ``open_circuit_voltage_array``, ``TraceCursor``, ``state_at``),
 * the exact engine pinned to literal summary metrics, and the fast engine
@@ -14,6 +16,7 @@ Covers the layers of the fast simulation core:
   tabulation error of the I-V surface alone.
 """
 
+import json
 import math
 
 import numpy as np
@@ -21,16 +24,25 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.energy.irradiance import constant_irradiance
-from repro.energy.pv_array import paper_pv_array
+from repro.energy.pv_array import PVArray, fig1_small_cell, paper_pv_array
 from repro.energy.traces import Trace, TraceCursor
+from repro.sim import supplies
 from repro.sim.ode import integrate_euler, integrate_rk23, integrate_rk4
-from repro.sim.supplies import ConstantPowerSupply, PVArraySupply
+from repro.sim.supplies import (
+    ConstantPowerSupply,
+    IVSurfaceTable,
+    PVArraySupply,
+    clear_iv_table_cache,
+)
 from repro.soc.cores import CoreConfig
 from repro.soc.exynos5422 import build_exynos5422_platform
 from repro.soc.opp import GHZ, OperatingPoint
-from repro.sweep.build import build_system
+from repro.sweep.build import build_supply, build_system
 from repro.sweep.components import GOVERNORS
-from repro.sweep.spec import ScenarioConfig
+from repro.sweep.runner import SweepRunner
+from repro.sweep.scenario import run_scenario
+from repro.sweep.spec import ScenarioConfig, SweepSpec
+from repro.sweep.store import ResultStore, strip_volatile
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +225,136 @@ class TestTabulatedAuxiliaryCurves:
         assert table.mpp_power(-5.0) == table.mpp_power(0.0)
         assert table.mpp_power(2000.0) == table.mpp_power(table.g_max)
         assert table.open_circuit_voltage(2000.0) == table.open_circuit_voltage(table.g_max)
+
+
+# ----------------------------------------------------------------------
+# Per-process I-V table cache
+# ----------------------------------------------------------------------
+class TestIVTableCache:
+    """Supplies with equal table inputs share one checked table per process."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        clear_iv_table_cache()
+
+    @pytest.fixture
+    def builds(self, monkeypatch) -> list:
+        """Every ``IVSurfaceTable.__init__`` call (success or failure)."""
+        calls = []
+        init = IVSurfaceTable.__init__
+
+        def counting_init(table, *args, **kwargs):
+            calls.append(args)
+            init(table, *args, **kwargs)
+
+        monkeypatch.setattr(IVSurfaceTable, "__init__", counting_init)
+        return calls
+
+    @staticmethod
+    def _constant(array=None, level=1000.0, **kwargs) -> PVArraySupply:
+        array = array if array is not None else paper_pv_array()
+        return PVArraySupply(array, constant_irradiance(level, duration=10.0), **kwargs)
+
+    def test_one_spec_builds_one_shared_table(self, builds):
+        spec = {"kind": "pv-array", "weather": "full_sun", "seed": 7}
+        first = build_supply(spec, 5.0)
+        second = build_supply(spec, 5.0)
+        assert first.array is not second.array
+        assert first.iv_table is second.iv_table
+        assert len(builds) == 1
+
+    def test_weather_and_seed_key_on_the_irradiance_maximum(self, builds):
+        def table(weather, seed):
+            return build_supply({"kind": "pv-array", "weather": weather, "seed": seed}, 120.0)
+
+        sunny = table("partial_sun", 1)
+        # Seeds 1 and 4 reach the same maximum, seed 2 a different one.
+        same_peak = table("partial_sun", 4)
+        other_peak = table("partial_sun", 2)
+        other_weather = table("full_sun", 1)
+        assert same_peak._g_max == sunny._g_max
+        assert len({sunny._g_max, other_peak._g_max, other_weather._g_max}) == 3
+        assert same_peak.iv_table is sunny.iv_table
+        assert other_peak.iv_table is not sunny.iv_table
+        assert other_weather.iv_table is not sunny.iv_table
+        assert len(builds) == 3
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            {"table_voltage_points": 97},
+            {"table_rel_tol": 1e-2},
+            {"array": fig1_small_cell()},
+            {"array": paper_pv_array(temperature_k=320.0)},
+        ],
+        ids=["voltage-points", "rel-tol", "fig1-cell", "temperature"],
+    )
+    def test_each_table_input_gives_a_separate_table(self, builds, variant):
+        base = self._constant().iv_table
+        changed = self._constant(**variant).iv_table
+        assert changed is not base
+        assert len(builds) == 2
+        # The variant's key is cached too: a second supply reuses it.
+        assert self._constant(**variant).iv_table is changed
+        assert len(builds) == 2
+
+    def test_lru_bound_evicts_least_recently_used(self, builds):
+        bound = supplies._TABLE_CACHE_SIZE
+        levels = [100.0 * (i + 1) for i in range(bound + 1)]
+        tables = {level: self._constant(level=level).iv_table for level in levels[:bound]}
+        assert len(builds) == bound
+        # Touch the oldest key, so the second-oldest becomes the LRU one.
+        assert self._constant(level=levels[0]).iv_table is tables[levels[0]]
+        self._constant(level=levels[bound]).iv_table
+        assert len(builds) == bound + 1
+        assert self._constant(level=levels[0]).iv_table is tables[levels[0]]
+        assert len(builds) == bound + 1
+        assert self._constant(level=levels[1]).iv_table is not tables[levels[1]]
+        assert len(builds) == bound + 2
+
+    def test_failed_tolerance_is_never_cached(self, builds):
+        kwargs = dict(table_voltage_points=3, table_irradiance_points=3, table_rel_tol=1e-9)
+        for attempt in (1, 2):
+            with pytest.raises(ValueError, match="use exact=True"):
+                self._constant(**kwargs).current(5.0, 0.0)
+            assert len(builds) == attempt
+        assert not supplies._TABLE_CACHE
+
+    def test_fast_mode_does_no_exact_curve_work(self, monkeypatch):
+        calls = []
+        mpp_power_array = PVArray.mpp_power_array
+
+        def counting(array, irradiances, *args, **kwargs):
+            calls.append(len(irradiances))
+            return mpp_power_array(array, irradiances, *args, **kwargs)
+
+        monkeypatch.setattr(PVArray, "mpp_power_array", counting)
+        config = ScenarioConfig(governor="power-neutral", supply="pv-array", duration_s=5.0)
+        built = build_system(config, fast=True)
+        built.run()
+        supply = built.simulation.supply
+        # Exactly one call: the table's own MPP row, on its irradiance grid.
+        assert calls == [supply.iv_table._ng]
+        assert supply._cache_irradiances is None
+
+    def test_campaign_records_identical_under_reuse(self, tmp_path):
+        spec = SweepSpec.grid(
+            governors=["power-neutral", "ondemand"],
+            weather=["full_sun", "partial_sun", "cloud"],
+            seeds=[3],
+            duration_s=5.0,
+        )
+        store = ResultStore(tmp_path / "warm.jsonl")
+        assert SweepRunner(store).run(spec).executed == 6
+        warm = {r["scenario_id"]: strip_volatile(r) for r in store.records()}
+        assert len(supplies._TABLE_CACHE) == 3
+
+        cold = {}
+        for config in spec.scenarios():
+            clear_iv_table_cache()
+            record = run_scenario(config)
+            cold[record["scenario_id"]] = strip_volatile(record)
+        assert json.dumps(warm, sort_keys=True) == json.dumps(cold, sort_keys=True)
 
 
 class TestVectorisedSolves:
