@@ -15,8 +15,8 @@ simulator.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 
 import numpy as np
 
@@ -222,17 +222,34 @@ class IVSurfaceTable:
         return self._sample_irradiance_row(self._voc_row, irradiance)
 
 
-#: Most distinct I-V surfaces one process keeps.  A PV campaign cycles its
-#: weather traces inside each governor, so the bound must hold one table per
-#: weather (there are four presets) or the cache thrashes; it also caps what
-#: a long-lived service keeps (a refined cloud table is ~13 MB).
-_TABLE_CACHE_SIZE = 4
-_TABLE_CACHE: OrderedDict[tuple, IVSurfaceTable] = OrderedDict()
+@functools.lru_cache(maxsize=8)
+def _shared_table(parameters, topology, g_max, voltage_points, irradiance_points, rel_tol):
+    """The process's one I-V table for these inputs, built on a miss.
+
+    Every argument is a value (the cell's frozen parameters and topology,
+    not a ``PVArray``), so the fresh array each scenario builds still hits.
+    A failed build raises and is never cached.
+
+    A campaign's keys are its distinct (weather, trace peak) pairs, and the
+    sweep cycles them once per governor, so each governor rebuilds every
+    table unless all of them fit.  Eight holds a single-seed campaign (one
+    key per weather) and, on the three standard weathers, the 7 keys of
+    ``table2-pv`` over seeds 1-4; campaigns with more distinct peaks
+    rebuild per governor.  At most eight tables stay resident, about 13 MB
+    for a refined cloud table and 3 MB for a clear-sky one.
+    """
+    array = PVArray(parameters, topology.cells_in_series, topology.strings_in_parallel)
+    return IVSurfaceTable(
+        array,
+        g_max,
+        voltage_points=voltage_points,
+        irradiance_points=irradiance_points,
+        rel_tol=rel_tol,
+    )
 
 
-def clear_iv_table_cache() -> None:
-    """Forget every shared I-V table, so the next fast lookup builds afresh."""
-    _TABLE_CACHE.clear()
+#: Forget every shared I-V table, so the next fast lookup builds afresh.
+clear_iv_table_cache = _shared_table.cache_clear
 
 
 class PVArraySupply(Supply):
@@ -300,15 +317,7 @@ class PVArraySupply(Supply):
         self._exact = bool(exact)
 
     def _build_table(self) -> IVSurfaceTable:
-        """The process's shared table for this supply, built on a cache miss.
-
-        The key is every input the table is a function of, by value, so the
-        fresh ``PVArray`` each scenario builds still hits.  A failed build
-        raises before anything is stored.  Pop-and-reinsert marks a hit most
-        recently used without a lock: concurrent campaign threads can at
-        worst build one key twice.
-        """
-        key = (
+        return _shared_table(
             self.array.cell.parameters,
             self.array.topology,
             self._g_max,
@@ -316,19 +325,6 @@ class PVArraySupply(Supply):
             self._table_irradiance_points,
             self._table_rel_tol,
         )
-        table = _TABLE_CACHE.pop(key, None)
-        if table is None:
-            table = IVSurfaceTable(
-                self.array,
-                self._g_max,
-                voltage_points=self._table_voltage_points,
-                irradiance_points=self._table_irradiance_points,
-                rel_tol=self._table_rel_tol,
-            )
-        _TABLE_CACHE[key] = table
-        while len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
-            _TABLE_CACHE.popitem(last=False)
-        return table
 
     def _build_exact_curves(self) -> None:
         """The exact engine's MPP/Voc curves, on the first exact-mode call."""

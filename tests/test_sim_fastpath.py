@@ -38,6 +38,7 @@ from repro.soc.cores import CoreConfig
 from repro.soc.exynos5422 import build_exynos5422_platform
 from repro.soc.opp import GHZ, OperatingPoint
 from repro.sweep.build import build_supply, build_system
+from repro.sweep.presets import build_preset
 from repro.sweep.components import GOVERNORS
 from repro.sweep.runner import SweepRunner
 from repro.sweep.scenario import run_scenario
@@ -299,7 +300,7 @@ class TestIVTableCache:
         assert len(builds) == 2
 
     def test_lru_bound_evicts_least_recently_used(self, builds):
-        bound = supplies._TABLE_CACHE_SIZE
+        bound = supplies._shared_table.cache_info().maxsize
         levels = [100.0 * (i + 1) for i in range(bound + 1)]
         tables = {level: self._constant(level=level).iv_table for level in levels[:bound]}
         assert len(builds) == bound
@@ -312,13 +313,24 @@ class TestIVTableCache:
         assert self._constant(level=levels[1]).iv_table is not tables[levels[1]]
         assert len(builds) == bound + 2
 
+    def test_bound_holds_a_four_seed_table2_campaign(self):
+        # The sweep cycles a campaign's table keys once per governor, so the
+        # bound must hold them all: table2-pv over seeds 1-4 has 7.
+        spec = build_preset("table2-pv", seeds=[1, 2, 3, 4])
+        keys = {
+            (config.supply.get("weather"), build_supply(config.supply, config.duration_s)._g_max)
+            for config in spec.scenarios()
+        }
+        assert len(keys) == 7
+        assert len(keys) <= supplies._shared_table.cache_info().maxsize
+
     def test_failed_tolerance_is_never_cached(self, builds):
         kwargs = dict(table_voltage_points=3, table_irradiance_points=3, table_rel_tol=1e-9)
         for attempt in (1, 2):
             with pytest.raises(ValueError, match="use exact=True"):
                 self._constant(**kwargs).current(5.0, 0.0)
             assert len(builds) == attempt
-        assert not supplies._TABLE_CACHE
+        assert supplies._shared_table.cache_info().currsize == 0
 
     def test_fast_mode_does_no_exact_curve_work(self, monkeypatch):
         calls = []
@@ -347,7 +359,7 @@ class TestIVTableCache:
         store = ResultStore(tmp_path / "warm.jsonl")
         assert SweepRunner(store).run(spec).executed == 6
         warm = {r["scenario_id"]: strip_volatile(r) for r in store.records()}
-        assert len(supplies._TABLE_CACHE) == 3
+        assert supplies._shared_table.cache_info().currsize == 3
 
         cold = {}
         for config in spec.scenarios():
