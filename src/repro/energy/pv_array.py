@@ -120,12 +120,21 @@ class PVArray:
         """Array currents on a (voltage x irradiance) outer grid.
 
         Shape ``(len(voltages), len(irradiances))``; one vectorised Lambert-W
-        evaluation for the whole surface.  This is what the fast-path I-V
-        tabulation of :class:`repro.sim.supplies.PVArraySupply` samples.
+        evaluation for the whole surface.
         """
         voltages = np.asarray(voltages, dtype=float)
-        cell_voltages = voltages / self.cells_in_series
-        return self.cell.current_surface(cell_voltages, irradiances) * self.strings_in_parallel
+        irradiances = np.asarray(irradiances, dtype=float)
+        return self.current_at(voltages[:, None], irradiances[None, :])
+
+    def current_at(self, voltages: np.ndarray, irradiances: np.ndarray) -> np.ndarray:
+        """Array currents at (voltage, irradiance) pairs that broadcast together.
+
+        One vectorised Lambert-W evaluation for every pair.  This is what the
+        Voc-aligned I-V table of :class:`repro.sim.supplies.PVArraySupply`
+        samples: each irradiance column has its own voltages.
+        """
+        cell_voltages = np.asarray(voltages, dtype=float) / self.cells_in_series
+        return self.cell.current_at(cell_voltages, irradiances) * self.strings_in_parallel
 
     def open_circuit_voltage_array(self, irradiances: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`open_circuit_voltage`."""

@@ -184,18 +184,16 @@ class SolarCell:
         voltages = np.asarray(voltages, dtype=float)
         return self._current_clipped_vec(voltages, float(irradiance_w_m2))
 
-    def current_surface(
-        self, voltages: np.ndarray, irradiances: np.ndarray
-    ) -> np.ndarray:
-        """Clipped terminal currents on a (voltage x irradiance) outer grid.
+    def current_at(self, voltages: np.ndarray, irradiances: np.ndarray) -> np.ndarray:
+        """Clipped terminal currents at (voltage, irradiance) pairs.
 
-        Returns an array of shape ``(len(voltages), len(irradiances))`` with
-        ``out[i, j] = current(voltages[i], irradiances[j])``, computed with a
-        single vectorised Lambert-W evaluation.
+        The two arrays broadcast against each other (a column of voltages
+        against a row of irradiances gives an outer grid, and each irradiance
+        may come with its own voltages); one vectorised Lambert-W evaluation.
         """
-        voltages = np.asarray(voltages, dtype=float)
-        irradiances = np.asarray(irradiances, dtype=float)
-        return self._current_clipped_vec(voltages[:, None], irradiances[None, :])
+        return self._current_clipped_vec(
+            np.asarray(voltages, dtype=float), np.asarray(irradiances, dtype=float)
+        )
 
     def _current_clipped_vec(self, voltages, irradiances) -> np.ndarray:
         """Vectorised clipped current with the scalar path's special cases."""

@@ -68,28 +68,34 @@ class Supply(ABC):
 
 
 class IVSurfaceTable:
-    """Bilinear interpolation of a PV array's I-V surface on a uniform grid.
+    """Bilinear interpolation of a PV array's I-V surface on a Voc-aligned grid.
 
     The table stores clipped terminal currents on a uniform
-    (voltage x irradiance) grid covering the voltages and irradiances a
-    simulation can visit.  A lookup is a handful of Python float operations —
-    no Lambert-W, no numpy dispatch — which is what makes the simulator's
-    fast path fast.
+    ``(u, G)`` grid, where ``u = V / Voc(G)`` runs from short circuit
+    (``u = 0``) to open circuit (``u = 1``) and ``G`` from darkness to the
+    brightest irradiance a simulation can visit.  A lookup interpolates the
+    open-circuit voltage at ``G`` from the table's Voc row, answers exactly
+    ``0.0`` at or beyond it, and otherwise interpolates bilinearly at
+    ``(V / Voc(G), G)`` — a handful of Python float operations, no
+    Lambert-W, no numpy dispatch, which is what makes the simulator's fast
+    path fast.
 
-    Construction measures the interpolation error against the exact
-    Lambert-W solve at every grid-cell midpoint (where bilinear error peaks)
-    and refines the grid until the worst error is below ``rel_tol``
-    (raising if the refinement cap cannot achieve it).  The error is
-    normalised by the full-scale current — the short-circuit current at the
-    brightest tabulated irradiance — because the clipped surface has a slope
-    kink along the open-circuit boundary where a locally-relative measure
-    would be unsatisfiable at any practical grid size, while the quantity
-    that bounds simulation error is the absolute current error against the
-    currents the node actually integrates.
+    The clipped surface has a slope kink along the open-circuit boundary.
+    On a (V, G) grid that kink crosses grid cells, so interpolation smears
+    current past Voc; on the aligned grid it is the ``u = 1`` edge, and the
+    default 193x129 grid needs no refinement.  Construction measures
+    the lookup's error against the exact Lambert-W solve at every grid-cell
+    midpoint (where bilinear error peaks) — at the midpoint voltage of the
+    interpolated Voc, exactly what a lookup there answers — and raises if the
+    worst error exceeds ``rel_tol``.  The error is normalised by the
+    full-scale current — the short-circuit current at the brightest
+    tabulated irradiance — because the quantity that bounds simulation error
+    is the absolute current error against the currents the node actually
+    integrates.
 
     Alongside the surface, the table carries the two 1-D curves the
-    simulator samples on record ticks — MPP power and open-circuit voltage
-    vs irradiance — on the same irradiance grid, so :meth:`mpp_power` and
+    simulator samples — MPP power and open-circuit voltage vs irradiance —
+    on the same irradiance grid, so :meth:`mpp_power` and
     :meth:`open_circuit_voltage` are a couple of float operations instead of
     a ``np.interp`` dispatch each.
 
@@ -100,20 +106,15 @@ class IVSurfaceTable:
     """
 
     __slots__ = (
-        "v_max",
         "g_max",
-        "_nv",
+        "_nu",
         "_ng",
-        "_inv_dv",
         "_inv_dg",
         "_rows",
         "_mpp_row",
         "_voc_row",
         "max_rel_error",
     )
-
-    #: Hard cap on grid refinement (per axis) before construction fails.
-    _MAX_REFINEMENTS = 3
 
     def __init__(
         self,
@@ -128,62 +129,41 @@ class IVSurfaceTable:
         if rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
         self.g_max = max(float(g_max), 1.0)
-        # Past the open-circuit voltage the (clipped) current is identically
-        # zero, so the voltage axis only needs to reach Voc at the brightest
-        # irradiance; lookups beyond the edge clamp onto that all-zero row.
-        self.v_max = float(array.open_circuit_voltage(self.g_max)) * 1.02
+        nu, ng = int(voltage_points), int(irradiance_points)
+        fractions = np.linspace(0.0, 1.0, nu)
+        irradiances = np.linspace(0.0, self.g_max, ng)
+        voc = array.open_circuit_voltage_array(irradiances)
+        surface = array.current_at(fractions[:, None] * voc, irradiances)
 
-        nv, ng = int(voltage_points), int(irradiance_points)
-        for refinement in range(self._MAX_REFINEMENTS + 1):
-            voltages = np.linspace(0.0, self.v_max, nv)
-            irradiances = np.linspace(0.0, self.g_max, ng)
-            surface = array.current_surface(voltages, irradiances)
-            error = self._midpoint_error(array, voltages, irradiances, surface)
-            if error <= rel_tol or refinement == self._MAX_REFINEMENTS:
-                break
-            nv = 2 * nv - 1
-            ng = 2 * ng - 1
+        # A lookup at a cell midpoint sees the midpoint of the two Voc nodes
+        # (the interpolated Voc) and weights the cell's corners equally.
+        u_mid = 0.5 * (fractions[:-1] + fractions[1:])
+        g_mid = 0.5 * (irradiances[:-1] + irradiances[1:])
+        voc_mid = 0.5 * (voc[:-1] + voc[1:])
+        exact = array.current_at(u_mid[:, None] * voc_mid, g_mid)
+        lookup = 0.25 * (
+            surface[:-1, :-1] + surface[1:, :-1] + surface[:-1, 1:] + surface[1:, 1:]
+        )
+        full_scale = max(float(np.max(surface)), 1e-12)
+        error = float(np.max(np.abs(lookup - exact))) / full_scale
         if error > rel_tol:
             raise ValueError(
                 f"I-V surface tabulation cannot reach rel_tol={rel_tol:g} "
-                f"(best {error:.2e} on a {nv}x{ng} grid); use exact=True"
+                f"({error:.2e} on a {nu}x{ng} grid); use exact=True"
             )
 
-        self._nv = nv
+        self._nu = nu
         self._ng = ng
-        self._inv_dv = (nv - 1) / self.v_max
         self._inv_dg = (ng - 1) / self.g_max
         # Nested Python lists: element access beats numpy scalar indexing in
         # the per-step lookup by a wide margin.
         self._rows = surface.tolist()
         self._mpp_row = array.mpp_power_array(irradiances).tolist()
-        self._voc_row = array.open_circuit_voltage_array(irradiances).tolist()
-        self.max_rel_error = float(error)
-
-    @staticmethod
-    def _midpoint_error(array, voltages, irradiances, surface) -> float:
-        """Worst full-scale-relative bilinear error at grid-cell midpoints."""
-        v_mid = 0.5 * (voltages[:-1] + voltages[1:])
-        g_mid = 0.5 * (irradiances[:-1] + irradiances[1:])
-        exact = array.current_surface(v_mid, g_mid)
-        interp = 0.25 * (
-            surface[:-1, :-1] + surface[1:, :-1] + surface[:-1, 1:] + surface[1:, 1:]
-        )
-        full_scale = max(float(np.max(surface)), 1e-12)
-        return float(np.max(np.abs(interp - exact))) / full_scale
+        self._voc_row = voc.tolist()
+        self.max_rel_error = error
 
     def current(self, voltage: float, irradiance: float) -> float:
-        """Bilinearly interpolated clipped current (clamped to the grid)."""
-        fx = voltage * self._inv_dv
-        if fx <= 0.0:
-            ix = 0
-            wx = 0.0
-        elif fx >= self._nv - 1:
-            ix = self._nv - 2
-            wx = 1.0
-        else:
-            ix = int(fx)
-            wx = fx - ix
+        """Interpolated clipped current: ``0.0`` at or past the interpolated Voc."""
         fy = irradiance * self._inv_dg
         if fy <= 0.0:
             iy = 0
@@ -194,6 +174,17 @@ class IVSurfaceTable:
         else:
             iy = int(fy)
             wy = fy - iy
+        voc_row = self._voc_row
+        voc = voc_row[iy]
+        voc += (voc_row[iy + 1] - voc) * wy
+        if voltage >= voc:
+            return 0.0
+        u_hi = self._nu - 1
+        fx = voltage * (u_hi / voc) if voltage > 0.0 else 0.0
+        ix = int(fx)
+        if ix >= u_hi:
+            ix = u_hi - 1
+        wx = fx - ix
         r0 = self._rows[ix]
         r1 = self._rows[ix + 1]
         a = r0[iy]
@@ -235,8 +226,8 @@ def _shared_table(parameters, topology, g_max, voltage_points, irradiance_points
     table unless all of them fit.  Eight holds a single-seed campaign (one
     key per weather) and, on the three standard weathers, the 7 keys of
     ``table2-pv`` over seeds 1-4; campaigns with more distinct peaks
-    rebuild per governor.  At most eight tables stay resident, about 13 MB
-    for a refined cloud table and 3 MB for a clear-sky one.
+    rebuild per governor.  At most eight tables stay resident, about
+    0.8 MB each (a 193x129 grid of Python floats plus its 1-D rows).
     """
     array = PVArray(parameters, topology.cells_in_series, topology.strings_in_parallel)
     return IVSurfaceTable(
@@ -257,18 +248,18 @@ class PVArraySupply(Supply):
 
     By default the supply answers :meth:`current` — and, on record ticks,
     :meth:`available_power` / :meth:`open_circuit_voltage` — from a tabulated
-    :class:`IVSurfaceTable` (the bilinear I-V surface plus its 1-D MPP/Voc
-    curves): the simulator's fast path.  The table is fetched lazily, at the
-    first fast lookup (so a supply immediately switched to ``exact`` never
-    pays the tabulation cost), from a per-process cache keyed on the cell
-    parameters, topology, irradiance maximum, grid and tolerance: supplies
-    with equal inputs share one table, and only a new key builds one, its
-    interpolation error checked against the exact solve before any lookup is
-    answered.  ``exact=True`` bypasses tabulation and solves the single-diode
-    equation (Lambert-W) on every call, with MPP/Voc answered from a 64-point
-    ``np.interp`` curve built on the first exact MPP/Voc call — the exact
-    engine's numerics, the reference the parity tests compare against; the
-    flag can also be toggled on a built supply.
+    :class:`IVSurfaceTable` (the Voc-aligned bilinear I-V surface plus its 1-D
+    MPP/Voc curves): the simulator's fast path.  The table is fetched lazily,
+    at the first fast lookup (so a supply immediately switched to ``exact``
+    never pays the tabulation cost), from a per-process cache keyed on the
+    cell parameters, topology, irradiance maximum, grid and tolerance:
+    supplies with equal inputs share one table, and only a new key builds one,
+    its interpolation error checked against the exact solve before any lookup
+    is answered.  ``exact=True`` bypasses tabulation and solves the
+    single-diode equation (Lambert-W) on every call, with MPP/Voc answered
+    from a 64-point ``np.interp`` curve built on the first exact MPP/Voc call
+    — the exact engine's numerics, the reference the parity tests compare
+    against; the flag can also be toggled on a built supply.
 
     Parameters
     ----------
@@ -285,9 +276,9 @@ class PVArraySupply(Supply):
         Solve the I-V equation exactly per call instead of interpolating the
         tabulated surface.
     table_voltage_points / table_irradiance_points / table_rel_tol:
-        Initial grid resolution and the accepted worst relative interpolation
-        error of the tabulated surface (checked, and refined if necessary,
-        when the table is built).
+        Grid resolution (points along ``V / Voc`` and along irradiance) and
+        the accepted worst relative interpolation error of the tabulated
+        surface (checked when the table is built).
     """
 
     is_voltage_source = False
@@ -369,7 +360,7 @@ class PVArraySupply(Supply):
         return table.current(voltage, self._g_cursor.value(t))
 
     def step_current_fn(self):
-        """Fully fused fast-path lookup: cursor advance + bilinear, one call.
+        """Fully fused fast-path lookup: cursor advance + Voc-aligned bilinear, one call.
 
         The closure keeps the irradiance cursor index and the table geometry
         in local/cell variables so one supply evaluation is a single Python
@@ -390,8 +381,8 @@ class PVArraySupply(Supply):
         if table is None:
             table = self._table = self._build_table()
         rows = table._rows
-        inv_dv = table._inv_dv
-        nv_hi = table._nv - 1
+        voc_row = table._voc_row
+        u_hi = table._nu - 1
         inv_dg = table._inv_dg
         ng_hi = table._ng - 1
         # Reuse the float lists the supply's cursor already built (shared
@@ -401,16 +392,20 @@ class PVArraySupply(Supply):
         n = len(times)
         idx = 0
         last_t = None
-        last_g = 0.0
+        # Per-irradiance lookup state: column index and weight, interpolated
+        # Voc and the voltage-to-u-index scale.
+        iy = 0
+        wy = 0.0
+        voc = 0.0
+        u_scale = 0.0
 
         def fast_current(v: float, t: float) -> float:
-            nonlocal idx, last_t, last_g
-            if t == last_t:
+            nonlocal idx, last_t, iy, wy, voc, u_scale
+            if t != last_t:
                 # The Heun corrector samples at t+dt, which is exactly the
                 # next step's predictor time: half of all lookups repeat the
-                # previous t, so one cursor walk serves two evaluations.
-                g = last_g
-            else:
+                # previous t, so one cursor walk and one Voc interpolation
+                # serve two evaluations.
                 # Inlined TraceCursor.value
                 i = idx
                 if t < times[i]:
@@ -431,28 +426,27 @@ class PVArraySupply(Supply):
                         g0 = values[i]
                         g = g0 + (values[i + 1] - g0) * (t - t0) / (times[i + 1] - t0)
                 last_t = t
-                last_g = g
+                fy = g * inv_dg
+                if fy <= 0.0:
+                    iy = 0
+                    wy = 0.0
+                elif fy >= ng_hi:
+                    iy = ng_hi - 1
+                    wy = 1.0
+                else:
+                    iy = int(fy)
+                    wy = fy - iy
+                voc = voc_row[iy]
+                voc += (voc_row[iy + 1] - voc) * wy
+                u_scale = u_hi / voc if voc > 0.0 else 0.0
             # Inlined IVSurfaceTable.current
-            fx = v * inv_dv
-            if fx <= 0.0:
-                ix = 0
-                wx = 0.0
-            elif fx >= nv_hi:
-                ix = nv_hi - 1
-                wx = 1.0
-            else:
-                ix = int(fx)
-                wx = fx - ix
-            fy = g * inv_dg
-            if fy <= 0.0:
-                iy = 0
-                wy = 0.0
-            elif fy >= ng_hi:
-                iy = ng_hi - 1
-                wy = 1.0
-            else:
-                iy = int(fy)
-                wy = fy - iy
+            if v >= voc:
+                return 0.0
+            fx = v * u_scale if v > 0.0 else 0.0
+            ix = int(fx)
+            if ix >= u_hi:
+                ix = u_hi - 1
+            wx = fx - ix
             r0 = rows[ix]
             r1 = rows[ix + 1]
             a = r0[iy]

@@ -16,7 +16,9 @@ retried on the next run.  A progress callback receives every completed cell
 from __future__ import annotations
 
 import collections
+import itertools
 import multiprocessing
+import queue
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -347,22 +349,34 @@ class SweepRunner:
         interrupt loses at most the scenarios actually in flight.  A slot
         whose scenario overruns its deadline stays occupied by the hung
         worker; if every slot hangs the pool is recycled.
+
+        Nothing polls: each task's completion callback puts its ticket and
+        outcome on a queue, and the coordinator blocks on that queue until a
+        result arrives or the nearest deadline passes.  Tickets no longer in
+        flight (a slot already counted as hung, a recycled pool) are ignored.
+        A completed record is yielded only after its freed slot is refilled,
+        so the worker runs its next scenario while the caller persists this
+        one instead of waiting on it.
         """
         ctx = multiprocessing.get_context()
         n_slots = min(self.workers, len(pending))
-        queue = collections.deque(pending)
+        waiting = collections.deque(pending)
+        finished: queue.SimpleQueue = queue.SimpleQueue()
+        tickets = itertools.count()
         # Queue-wait baseline: every pending scenario is logically enqueued
         # now; a worker's measured wait is the time its cell spent queued
         # behind earlier cells (plus pool dispatch latency).
         enqueued_wall = time.time()
         pool = ctx.Pool(processes=n_slots)
-        active: dict = {}  # async handle -> (config, deadline or None)
+        active: dict = {}  # ticket -> (config, deadline or None)
         hung = 0
+        record = None  # completed, yielded once its slot is refilled
         try:
-            while queue or active:
-                while queue and len(active) + hung < n_slots:
-                    config = queue.popleft()
-                    handle = pool.apply_async(
+            while waiting or active or record is not None:
+                while waiting and len(active) + hung < n_slots:
+                    config = waiting.popleft()
+                    ticket = next(tickets)
+                    pool.apply_async(
                         _execute_payload,
                         (
                             (
@@ -373,23 +387,40 @@ class SweepRunner:
                                 self.retry.to_dict(),
                             ),
                         ),
+                        callback=lambda out, ticket=ticket: finished.put((ticket, out, None)),
+                        error_callback=lambda exc, ticket=ticket: finished.put((ticket, None, exc)),
                     )
                     deadline = (
                         time.monotonic() + self.timeout_s if self.timeout_s is not None else None
                     )
-                    active[handle] = (config, deadline)
-                completed = [h for h in active if h.ready()]
-                for handle in completed:
-                    active.pop(handle)
-                    yield handle.get()
-                if completed:
+                    active[ticket] = (config, deadline)
+                if record is not None:
+                    yield record
+                    record = None
+                    continue
+                deadlines = [deadline for _, deadline in active.values() if deadline is not None]
+                try:
+                    if deadlines:
+                        ticket, out, exc = finished.get(
+                            timeout=max(0.0, min(deadlines) - time.monotonic())
+                        )
+                    else:
+                        ticket, out, exc = finished.get()
+                except queue.Empty:
+                    ticket = None
+                if ticket in active:
+                    del active[ticket]
+                    if exc is not None:
+                        raise exc
+                    record = out
                     continue
                 now = time.monotonic()
                 expired = [
-                    h for h, (_, deadline) in active.items() if deadline is not None and now >= deadline
+                    t for t, (_, deadline) in active.items()
+                    if deadline is not None and now >= deadline
                 ]
-                for handle in expired:
-                    config, _ = active.pop(handle)
+                for ticket in expired:
+                    config, _ = active.pop(ticket)
                     hung += 1
                     yield {
                         "scenario_id": config.scenario_id,
@@ -404,8 +435,6 @@ class SweepRunner:
                     pool.join()
                     pool = ctx.Pool(processes=n_slots)
                     hung = 0
-                elif not expired:
-                    time.sleep(0.02)
         finally:
             pool.terminate()
             pool.join()

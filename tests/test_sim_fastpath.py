@@ -2,8 +2,10 @@
 
 Covers the layers of the fast simulation core:
 
-* the tabulated bilinear I-V surface against the exact Lambert-W solve
-  (grid parity within the declared tolerance, ``exact=True`` bypass),
+* the tabulated Voc-aligned I-V surface against the exact Lambert-W solve
+  (grid parity within the declared tolerance, the declared tolerance being
+  the lookup's own midpoint error, exactly zero current at and past Voc,
+  ``exact=True`` bypass),
 * the per-process table cache (sharing by value, key coverage, LRU bound,
   failures never cached, campaign records identical under reuse),
 * the vectorised building blocks it rests on (``current_array``,
@@ -11,7 +13,8 @@ Covers the layers of the fast simulation core:
 * the exact engine pinned to literal summary metrics, and the fast engine
   against the exact engine end to end — on the Table II seed scenarios and
   in a Hypothesis differential test over the registry space (brown-out
-  counts exactly equal, instructions and consumed energy within 1%).  Both
+  counts exactly equal, instructions, consumed and harvested energy within
+  1%).  Both
   engines run the same simulator loop, so the differential measures the
   tabulation error of the I-V surface alone.
 """
@@ -80,6 +83,42 @@ class TestIVSurfaceTable:
         assert table.current(-0.2, 1000.0) == pytest.approx(isc, rel=5e-3)
         # Irradiance beyond the trace maximum clamps onto the brightest column.
         assert table.current(3.0, 2000.0) == pytest.approx(table.current(3.0, 1000.0))
+
+    def test_current_is_exactly_zero_at_and_past_open_circuit(self, supply):
+        """The open-circuit kink is the table's grid edge: no interpolated
+        current leaks past Voc (a (V, G) grid answered 4.1 mA at 819 W/m^2
+        and 6.712 V, where the exact current is 0 A)."""
+        array = paper_pv_array()
+        table = supply.iv_table
+        assert array.current(6.712, 819.0) == 0.0
+        assert table.current(6.712, 819.0) == 0.0
+        fn = supply.step_current_fn()
+        grid = np.linspace(0.0, table.g_max, 129)
+        off_grid = np.random.default_rng(7).uniform(0.0, 1.2 * table.g_max, size=200)
+        for g in np.concatenate([grid, off_grid]):
+            voc = array.open_circuit_voltage(float(g))
+            for v in (voc, voc + 1e-9, 1.01 * voc, voc + 2.0):
+                assert table.current(v, float(g)) == 0.0, (v, g)
+        # The fused step closure answers the same zero (1000 W/m^2 trace).
+        voc = array.open_circuit_voltage(1000.0)
+        assert fn(voc, 5.0) == 0.0
+        assert fn(voc + 0.5, 6.0) == 0.0
+
+    def test_declared_error_is_the_lookups_error_at_cell_midpoints(self, supply):
+        """The construction check measures what a lookup answers: at every
+        (u, G) cell midpoint, at the voltage of the interpolated Voc."""
+        array = paper_pv_array()
+        table = supply.iv_table
+        g = np.linspace(0.0, table.g_max, 129)
+        u_mid = (np.arange(192) + 0.5) / 192
+        worst = 0.0
+        for g_mid in 0.5 * (g[:-1] + g[1:]):
+            voltages = u_mid * table.open_circuit_voltage(g_mid)
+            exact = array.current_surface(voltages, [g_mid])[:, 0]
+            fast = [table.current(float(v), float(g_mid)) for v in voltages]
+            worst = max(worst, float(np.max(np.abs(fast - exact))))
+        full_scale = array.short_circuit_current(table.g_max)
+        assert worst / full_scale == pytest.approx(table.max_rel_error, rel=1e-6)
 
     def test_exact_true_bypasses_tabulation(self):
         supply = PVArraySupply(
@@ -665,21 +704,12 @@ def test_fast_matches_exact_over_registry_space(governor, supply, capacitance_f,
     )
     fast, exact = _run_both(config)
     assert fast.brownout_count == exact.brownout_count
-    for name in ("total_instructions", "consumed_energy_j"):
+    for name in ("total_instructions", "consumed_energy_j", "harvested_energy_j"):
         a = float(getattr(fast, name))
         b = float(getattr(exact, name))
         assert a == pytest.approx(b, rel=0.01, abs=1e-9), name
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "known defect: the bilinear IVSurfaceTable interpolates across the "
-        "clipped open-circuit kink (4.1 mA at 819 W/m^2 and 6.712 V where "
-        "the exact current is 0 A), so a small buffer that cycles through "
-        "brown-outs and sits at Voc over-harvests"
-    ),
-)
 def test_harvested_energy_parity_across_the_voc_kink():
     config = ScenarioConfig(
         governor="interactive",

@@ -12,6 +12,7 @@ from repro.sweep import (
     campaign_overview,
     table2_rows,
 )
+from repro.sweep.store import strip_volatile
 
 #: Short simulated duration keeping each scenario ~tens of milliseconds.
 DURATION_S = 5.0
@@ -144,6 +145,35 @@ class TestParallelExecution:
         ).run([config])
         assert report.timed_out == 1
         assert not report.succeeded
+
+    def test_pool_waits_for_results_without_polling(self, tmp_path, monkeypatch):
+        """The timed pool blocks on its completion queue instead of sleeping
+        between readiness checks, and yields the same records as a serial
+        run."""
+        import repro.sweep.runner as runner_module
+
+        configs = [
+            ScenarioConfig(
+                governor="power-neutral",
+                supply={"kind": "constant-power", "power_w": power_w},
+                duration_s=DURATION_S,
+            )
+            for power_w in (1.0, 2.0, 3.0)
+        ]
+        serial = SweepRunner(ResultStore(tmp_path / "serial.jsonl"), timeout_s=None).run(configs)
+
+        def no_sleep(seconds):
+            raise AssertionError(f"the pool polled: time.sleep({seconds})")
+
+        monkeypatch.setattr(runner_module.time, "sleep", no_sleep)
+        pooled = SweepRunner(
+            ResultStore(tmp_path / "pool.jsonl"), workers=1, timeout_s=60
+        ).run(configs)
+
+        assert pooled.executed == 3
+        assert [r["status"] for r in pooled.records] == ["ok"] * 3
+        by_id = {r["scenario_id"]: strip_volatile(r) for r in serial.records}
+        assert {r["scenario_id"]: strip_volatile(r) for r in pooled.records} == by_id
 
 
 class TestAggregation:
